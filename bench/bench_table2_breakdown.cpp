@@ -84,20 +84,26 @@ int main() {
     benchmark::DoNotOptimize(extracted);
   });
 
-  // --- Forwarder: merge one pending feedback message onto a packet. ---
+  // --- Forwarder: splice one pending feedback record onto a packet. ---
   ftc::ChainConfig cfg;
-  ftc::FeedbackChannel feedback;
-  ftc::Forwarder forwarder(feedback, cfg);
+  pkt::PacketPool pool(64);
+  ftc::FeedbackChannel feedback(pool, cfg.num_partitions);
+  ftc::Forwarder forwarder(feedback, cfg, pool);
+  pkt::Packet ingress;
+  pkt::PacketBuilder(ingress).udp(workload.flow(0), 256);
+  const std::size_t bare_size = ingress.size();
   const double forwarder_cycles = cycles_per_iter([&](int) {
     feedback.push(ftc::PiggybackMessage{});
-    auto merged = forwarder.collect();
-    benchmark::DoNotOptimize(merged);
+    ftc::PiggybackView view;
+    pkt::Packet* extra[2];
+    forwarder.splice(ingress, view, extra);
+    benchmark::DoNotOptimize(view);
+    ingress.trim_back(ingress.size() - bare_size);
   });
 
   // --- Buffer: submit with covered logs (immediate release) + feedback. ---
-  pkt::PacketPool pool(64);
   net::Link egress(pool, net::LinkConfig{});
-  ftc::FeedbackChannel buf_feedback;
+  ftc::FeedbackChannel buf_feedback(pool, cfg.num_partitions);
   ftc::EgressBuffer buffer(pool, egress, buf_feedback);
   const double buffer_cycles = cycles_per_iter([&](int) {
     pkt::Packet* p = pool.alloc_raw();

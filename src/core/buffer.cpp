@@ -107,7 +107,7 @@ void EgressBuffer::submit(pkt::Packet* p, PiggybackMessage&& msg) {
   // propagation loop: once every log is stripped at its tail, feedback
   // messages become empty.
   msg.commits.clear();
-  if (!msg.empty()) feedback_.push(std::move(msg));
+  if (!msg.empty()) feedback_.push(msg);
 }
 
 void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
@@ -115,7 +115,6 @@ void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
   const std::uint64_t trace_id = p->anno().trace_id;
   rt::SmallVector<CommitVector, 2> commits;
   std::vector<PendingLog> pending;
-  PiggybackMessage feedback;
   if (v.ok()) {
     for (std::size_t i = 0; i < v.commit_count(); ++i) {
       CommitVector c;
@@ -123,19 +122,21 @@ void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
       commits.push_back(std::move(c));
     }
     const std::size_t n = v.log_count();
-    if (!is_control && n != 0) pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const WireLog log = v.log(i);
-      if (!is_control) pending.push_back(PendingLog{log.mbox, log.dep});
-      // Only surviving (wrap-around) logs pay a materialization: they
-      // outlive the packet on the feedback channel.
-      feedback.logs.push_back(materialize_log(log));
+    if (!is_control && n != 0) {
+      pending.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const WireLog log = v.log(i);
+        pending.push_back(PendingLog{log.mbox, log.dep});
+      }
     }
+    // Surviving (wrap-around) logs outlive the packet on the feedback
+    // channel: one copy of their wire bytes, never materialized. Commits
+    // stay here, as on the materializing path.
+    if (n != 0) feedback_.push_logs(v);
     v.strip_tail();  // The packet leaves the chain bare.
   }
   submit_core(p, is_control, trace_id, {commits.data(), commits.size()},
               std::move(pending));
-  if (!feedback.logs.empty()) feedback_.push(std::move(feedback));
 }
 
 void EgressBuffer::submit_core(pkt::Packet* p, bool is_control,

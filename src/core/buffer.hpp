@@ -3,8 +3,8 @@
 // Holds packets leaving the chain until the state updates they carried for
 // wrap-around middleboxes (those whose tail sits at the chain start) are
 // known to be f+1-replicated, i.e. covered by commit vectors observed on
-// later packets. Strips the piggyback message and forwards it to the
-// forwarder via the feedback channel.
+// later packets. Strips the piggyback message and feeds its logs back to
+// the forwarder, as wire bytes, via the feedback channel.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,9 @@ class EgressBuffer : rt::NonCopyable {
   void submit(pkt::Packet* p, PiggybackMessage&& msg);
 
   /// submit() for the zero-copy path: commits and pending-log headers are
-  /// read straight off the packet tail via @p v; only logs that must
-  /// outlive the packet (the feedback hand-off to the forwarder) are
-  /// materialized. The tail is stripped before the packet is held or
+  /// read straight off the packet tail via @p v, and the logs that must
+  /// outlive the packet (the feedback hand-off to the forwarder) are copied
+  /// as raw wire bytes. The tail is stripped before the packet is held or
   /// released, so packets leave the chain bare exactly as on the legacy
   /// path. @p v may be invalid (packet without a message) and is consumed.
   void submit_wire(pkt::Packet* p, PiggybackView& v);

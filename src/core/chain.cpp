@@ -80,12 +80,22 @@ void ChainRuntime::build_ftc() {
   egress_link_ = std::make_unique<net::Link>(*pool_, net::LinkConfig{},
                                              &registry_, "egress",
                                              obs::span_site_link(kEgressLinkSite));
-  feedback_ = std::make_unique<FeedbackChannel>();
-  forwarder_ = std::make_unique<Forwarder>(*feedback_, spec_.cfg);
+  feedback_ = std::make_unique<FeedbackChannel>(*internal_pool_,
+                                                spec_.cfg.num_partitions);
+  forwarder_ =
+      std::make_unique<Forwarder>(*feedback_, spec_.cfg, *internal_pool_);
   buffer_ = std::make_unique<EgressBuffer>(*internal_pool_, *egress_link_,
                                            *feedback_, &registry_);
   registry_.gauge_fn("forwarder.feedback_pending", {{"node", "fwd"}}, [this] {
     return static_cast<double>(feedback_->pending_approx());
+  });
+  // Feedback records that could not ride an ingress packet (too large for
+  // a slot, or the packet's tailroom short) and took a propagating packet.
+  registry_.gauge_fn("forwarder.spills", {{"node", "fwd"}}, [this] {
+    return static_cast<double>(forwarder_->spills());
+  });
+  registry_.gauge_fn("forwarder.tailroom_fallbacks", {{"node", "fwd"}}, [this] {
+    return static_cast<double>(forwarder_->tailroom_fallbacks());
   });
 
   ftc_at_ = std::vector<std::atomic<FtcNode*>>(ring_size_);
@@ -170,6 +180,14 @@ void ChainRuntime::start() {
 }
 
 void ChainRuntime::stop() {
+  // Downstream first: the egress node blocks on the feedback channel while
+  // it is full, and only the ingress drains it. Stopping the ingress first
+  // would leave a backlog still flowing behind it nowhere to go.
+  for (std::size_t pos = ftc_at_.size(); pos-- > 0;) {
+    if (FtcNode* node = ftc_at_[pos].load(std::memory_order_acquire)) {
+      node->stop();
+    }
+  }
   for (auto& node : ftc_nodes_) node->stop();
   for (auto& node : nf_nodes_) node->stop();
   for (auto& node : ftmb_masters_) node->stop();
@@ -188,6 +206,24 @@ std::uint64_t ChainRuntime::egress_packets() const noexcept {
 
 bool ChainRuntime::quiescent() {
   static const bool dbg = std::getenv("FTC_QUIESCE_DEBUG") != nullptr;
+  // Packets a worker took off a queue are in no queue until it forwards
+  // them. Bracket the queue checks with the nodes' burst stamps: a worker
+  // holding a burst at either end, or one taken in between, means packets
+  // may have moved past a queue after it was checked.
+  std::vector<std::pair<FtcNode*, std::uint64_t>> stamps;
+  stamps.reserve(ftc_at_.size());
+  for (auto& slot : ftc_at_) {
+    FtcNode* node = slot.load(std::memory_order_acquire);
+    if (node == nullptr) continue;
+    const auto stamp = node->burst_stamp();
+    if (!stamp) {
+      if (dbg)
+        std::fprintf(stderr, "[quiesce] node pos=%u holds a burst\n",
+                     node->position());
+      return false;
+    }
+    stamps.emplace_back(node, *stamp);
+  }
   for (auto& link : links_) {
     if (!link->drained()) {
       if (dbg) std::fprintf(stderr, "[quiesce] link not drained\n");
@@ -217,16 +253,6 @@ bool ChainRuntime::quiescent() {
                      node->position(), node->parked_count());
       return false;
     }
-    // A burst a worker has popped but not finished is in no link queue yet
-    // still carries unapplied logs; checked after the links so a token
-    // observed as zero means the packets are back somewhere visible.
-    if (node != nullptr && node->bursts_in_flight() != 0) {
-      if (dbg)
-        std::fprintf(stderr, "[quiesce] node pos=%u bursts_in_flight=%zu\n",
-                     node->position(),
-                     static_cast<std::size_t>(node->bursts_in_flight()));
-      return false;
-    }
     // Shard mode: a cross-shard portion sitting in a handoff ring counted
     // as applied at classification, but its writes reach the store only at
     // the owner's drain.
@@ -237,7 +263,21 @@ bool ChainRuntime::quiescent() {
       return false;
     }
   }
-  return true;
+  std::size_t i = 0;
+  for (auto& slot : ftc_at_) {
+    FtcNode* node = slot.load(std::memory_order_acquire);
+    if (node == nullptr) continue;
+    const auto stamp = node->burst_stamp();
+    if (i >= stamps.size() || stamps[i].first != node ||
+        stamp != stamps[i].second) {
+      if (dbg)
+        std::fprintf(stderr, "[quiesce] node pos=%u took a burst\n",
+                     node->position());
+      return false;
+    }
+    ++i;
+  }
+  return i == stamps.size();
 }
 
 void ChainRuntime::fail_position(std::uint32_t position) {

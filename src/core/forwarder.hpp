@@ -1,15 +1,17 @@
 // Forwarder and the buffer->forwarder feedback channel (paper §5).
 //
-// The egress buffer strips each packet's piggyback message and hands it to
-// the forwarder at the chain ingress; the forwarder attaches pending
-// messages to incoming packets (merging several if the ingress is slower
-// than the egress) so the state of chain-end middleboxes replicates at the
-// chain-start servers. When the chain is idle, the forwarder emits
-// propagating packets instead.
+// The egress buffer copies each packet's surviving piggyback logs, as wire
+// bytes, into a fixed-size record on the feedback channel; the forwarder at
+// the chain ingress splices pending records onto incoming packets (merging
+// several if the ingress is slower than the egress) so the state of
+// chain-end middleboxes replicates at the chain-start servers. When the
+// chain is idle, the forwarder's node emits propagating packets instead.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
+#include <utility>
 
 #include "core/config.hpp"
 #include "core/piggyback.hpp"
@@ -20,52 +22,88 @@
 
 namespace sfc::ftc {
 
+/// One buffer->forwarder hand-off: a serialized piggyback message (header
+/// through footer, exactly as it will sit on the ingress packet) in a
+/// fixed-size, allocation-free slot. A message larger than the slot spills:
+/// it travels attached to a propagating packet, `carrier`, instead.
+struct FeedbackRecord {
+  static constexpr std::size_t kCapacity = 240;
+
+  pkt::Packet* carrier{nullptr};
+  std::uint32_t size{0};  ///< Bytes of `bytes` in use (0 for a spill).
+  std::uint8_t bytes[kCapacity]{};
+
+  std::span<const std::uint8_t> message() const noexcept {
+    return {bytes, size};
+  }
+};
+
 /// The paper's dedicated state-dissemination link from the buffer back to
-/// the forwarder (their testbed used a separate 10 GbE link).
+/// the forwarder (their testbed used a separate 10 GbE link). Records are
+/// written and read in their queue slots: a hand-off copies the message
+/// bytes once, into the slot, and the forwarder copies them once more, onto
+/// the ingress packet.
 class FeedbackChannel : rt::NonCopyable {
  public:
-  explicit FeedbackChannel(std::size_t capacity = 1024) : queue_(capacity) {}
+  /// @param pool            Source of spill carriers.
+  /// @param num_partitions  Commit-vector width of the chain's messages.
+  FeedbackChannel(pkt::PacketPool& pool, std::size_t num_partitions,
+                  std::size_t capacity = 1024)
+      : pool_(pool), num_partitions_(num_partitions), queue_(capacity) {}
+  /// Returns the carriers of records never spliced to their pool.
+  ~FeedbackChannel();
 
-  void push(PiggybackMessage&& msg) {
-    // The channel must not lose state: if the consumer lags, spin-yield.
-    while (!queue_.try_push(std::move(msg))) std::this_thread::yield();
+  /// Feeds back the logs of @p v as raw wire bytes, without its commit
+  /// vectors (those end their journey at the buffer, paper §5.1).
+  void push_logs(const PiggybackView& v);
+
+  /// Feeds back @p msg as it is (the materializing submit path).
+  void push(const PiggybackMessage& msg);
+
+  /// Runs fn(const FeedbackRecord&) on the oldest record, in its slot.
+  /// Returns false when nothing is pending.
+  template <typename Fn>
+  bool pop_with(Fn&& fn) {
+    return queue_.try_pop_with(
+        [&fn](FeedbackRecord& r) { fn(std::as_const(r)); });
   }
-
-  std::optional<PiggybackMessage> pop() { return queue_.try_pop(); }
 
   std::size_t pending_approx() const noexcept { return queue_.size_approx(); }
 
  private:
-  rt::MpmcQueue<PiggybackMessage> queue_;
+  /// Hands off a @p size-byte message that write(std::uint8_t*) serializes:
+  /// into a slot, or onto a spill carrier when it exceeds one. The channel
+  /// must not lose state: a full queue or an empty pool is waited out.
+  template <typename Write>
+  void push_message(std::size_t size, Write&& write);
+
+  pkt::PacketPool& pool_;
+  const std::size_t num_partitions_;
+  rt::MpmcQueue<FeedbackRecord> queue_;
 };
 
 class Forwarder : rt::NonCopyable {
  public:
-  Forwarder(FeedbackChannel& feedback, const ChainConfig& cfg)
-      : feedback_(feedback), cfg_(cfg) {
+  /// @param pool  Source of the propagating packets records fall back to.
+  Forwarder(FeedbackChannel& feedback, const ChainConfig& cfg,
+            pkt::PacketPool& pool)
+      : feedback_(feedback), cfg_(cfg), pool_(pool) {
     last_activity_ns_.store(rt::now_ns());
   }
 
-  /// Collects pending feedback (up to the merge limit) into one message to
-  /// ride on an incoming packet.
-  PiggybackMessage collect() {
-    // Common case first: zero or one pending message needs no merge pass
-    // (the merge walks commit vectors per log; skipping it matters at the
-    // per-packet rate this runs at).
-    auto first = feedback_.pop();
-    if (!first) {
-      note_activity();
-      return {};
-    }
-    PiggybackMessage merged = std::move(*first);
-    for (std::size_t i = 1; i < cfg_.forwarder_merge_limit; ++i) {
-      auto msg = feedback_.pop();
-      if (!msg) break;
-      merged.merge(std::move(*msg));
-    }
-    note_activity();
-    return merged;
-  }
+  /// Tailroom a packet needs before it takes one more record: any record
+  /// fits (attached, or merged into a message already there).
+  static constexpr std::size_t kSpliceRoom = FeedbackRecord::kCapacity;
+
+  /// Splices pending records onto @p p, a packet without a message: the
+  /// first becomes its tail with one memcpy, up to forwarder_merge_limit
+  /// in all merge in place (PiggybackView::merge). @p view receives the
+  /// opened message (invalid when nothing was spliced). Records that cannot
+  /// ride @p p — a spill, or every record when @p p's tailroom is short —
+  /// ride propagating packets instead: they are stored in @p extra (room
+  /// for two), in the order they must run right after @p p, and counted.
+  /// Returns how many were stored.
+  std::size_t splice(pkt::Packet& p, PiggybackView& view, pkt::Packet** extra);
 
   /// True when the chain has been idle long enough that pending state must
   /// be pushed with a propagating packet.
@@ -77,6 +115,15 @@ class Forwarder : rt::NonCopyable {
 
   void note_activity() noexcept {
     last_activity_ns_.store(rt::now_ns(), std::memory_order_relaxed);
+  }
+
+  /// Records that arrived as spills (too large for a slot).
+  std::uint64_t spills() const noexcept {
+    return spills_.load(std::memory_order_relaxed);
+  }
+  /// Ingress packets whose tailroom could not take a record.
+  std::uint64_t tailroom_fallbacks() const noexcept {
+    return fallbacks_.load(std::memory_order_relaxed);
   }
 
   /// Builds a propagating packet (no user payload; skips middleboxes).
@@ -93,7 +140,10 @@ class Forwarder : rt::NonCopyable {
  private:
   FeedbackChannel& feedback_;
   const ChainConfig& cfg_;
+  pkt::PacketPool& pool_;
   std::atomic<std::uint64_t> last_activity_ns_{0};
+  std::atomic<std::uint64_t> spills_{0};
+  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 }  // namespace sfc::ftc

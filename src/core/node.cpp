@@ -150,6 +150,7 @@ FtcNode::FtcNode(Params params)
   tail_mbox_ = tail_of();
   tail_applier_ = tail_mbox_ != ring_size_ ? applier(tail_mbox_) : nullptr;
   burst_size_ = std::clamp<std::size_t>(cfg_.burst_size, 1, kMaxBurst);
+  worker_state_ = std::make_unique<WorkerState[]>(cfg_.threads_per_node);
 
   // Shard-affine state (cfg.ownership): partition ownership + handoff
   // mesh, enabled before any worker exists. Appliers shard at any thread
@@ -221,14 +222,40 @@ void FtcNode::set_forwarder(Forwarder* fwd) {
   pb_hists_registered_ = true;
   const obs::Labels labels{{"node", std::to_string(id_)},
                            {"pos", std::to_string(position_)}};
-  registry_->histogram_fn("piggyback.bytes_per_packet", labels, [this] {
-    LockGuard lock(pb_mutex_);
-    return pb_bytes_hist_;
+  const auto merged = [this](rt::SingleWriterHistogram WorkerState::*hist) {
+    rt::Histogram h;
+    for (std::size_t t = 0; t < cfg_.threads_per_node; ++t) {
+      (worker_state_[t].*hist).merge_into(h);
+    }
+    return h;
+  };
+  registry_->histogram_fn("piggyback.bytes_per_packet", labels, [merged] {
+    return merged(&WorkerState::pb_bytes);
   });
-  registry_->histogram_fn("piggyback.logs_per_packet", labels, [this] {
-    LockGuard lock(pb_mutex_);
-    return pb_logs_hist_;
+  registry_->histogram_fn("piggyback.logs_per_packet", labels, [merged] {
+    return merged(&WorkerState::pb_logs);
   });
+}
+
+std::optional<std::uint64_t> FtcNode::burst_stamp() const {
+  std::uint64_t stamp = 0;
+  for (std::size_t t = 0; t < cfg_.threads_per_node; ++t) {
+    const std::atomic<std::uint64_t>& phase = worker_state_[t].phase;
+    std::uint64_t seen = phase.load(std::memory_order_seq_cst);
+    // A poll in progress has not shown yet whether it took packets: wait
+    // for its outcome (polls never block; an empty one leaves the burst
+    // count alone). The wait is bounded so a descheduled worker reads as
+    // busy rather than stalling the caller.
+    const std::uint64_t deadline = rt::now_ns() + 10'000'000;
+    while ((seen & 3U) == kPolling) {
+      std::this_thread::yield();
+      if (rt::now_ns() > deadline) return std::nullopt;
+      seen = phase.load(std::memory_order_seq_cst);
+    }
+    if ((seen & 3U) == kHolding) return std::nullopt;
+    stamp += seen >> 2;
+  }
+  return stamp;
 }
 
 InOrderApplier* FtcNode::applier(MboxId mbox) noexcept {
@@ -319,20 +346,23 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
     return false;
   }
   bool did_work = false;
+  WorkerState& ws = worker_state_[thread_id];
 
   // Ingress duties: emit a propagating packet when the chain is idle but
-  // state dissemination is pending (paper §5.1).
+  // state dissemination is pending (paper §5.1). It runs through this
+  // node's full pipeline (its appliers are group members of the
+  // wrap-around middleboxes too). Announced as held before the feedback
+  // records leave their queue.
   if (thread_id == 0 && forwarder_ != nullptr && forwarder_->propagation_due()) {
-    // The propagating packet runs through this node's full pipeline (its
-    // appliers are group members of the wrap-around middleboxes too).
+    ++ws.bursts;
+    ws.set_phase(kHolding);
     if (pkt::Packet* prop = Forwarder::make_propagating_packet(pool_)) {
-      Work work;
-      work.packet = prop;
-      work.thread_id = thread_id;
-      work.msg = forwarder_->collect();
-      process_work(std::move(work));
+      ws.pkts[0] = prop;
+      const std::size_t n = splice_feedback(ws.pkts, 1, ws);
+      run_views(ws.pkts, ws.vw, n, thread_id);
       did_work = true;
     }
+    ws.set_phase(kIdle);
   }
 
   net::Port* in = in_link_.load(std::memory_order_acquire);
@@ -354,14 +384,18 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
             std::to_string(thread_id));
       }
     }
-    // Raise the in-flight token BEFORE popping: packets leave the link
-    // queue here but are only applied/forwarded below, and quiescence
-    // checks (ChainRuntime::quiescent) must never observe "links drained"
-    // while a whole burst sits unapplied in this worker's hands.
-    bursts_in_flight_.fetch_add(1);
+    // Publish the poll BEFORE popping: packets leave the link queue here
+    // but are only applied/forwarded below, and quiescence checks
+    // (ChainRuntime::quiescent) must never observe "links drained" while a
+    // whole burst sits unapplied in this worker's hands.
+    ws.set_phase(kPolling);
     const std::uint64_t pp0 = slot != nullptr ? rt::rdtsc() : 0;
     const std::size_t got = in->poll_burst(rx, burst_size_);
-    if (got != 0) {
+    if (got == 0) {
+      ws.set_phase(kIdle);
+    } else {
+      ++ws.bursts;
+      ws.set_phase(kHolding);
       // Open the per-thread burst scope: emits from this burst stage into
       // t_burst.tx and per-packet bookkeeping accumulates, all flushed once
       // below.
@@ -376,67 +410,32 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       }
       const std::uint64_t t0 = account_cycles_ ? rt::rdtsc() : 0;
       if (account_cycles_) t_blocked_cycles = 0;
+      // Zero-copy path (paper §5.1's in-place processing): open every
+      // tail once — at the chain ingress, the tail the feedback splice
+      // attaches — apply the whole burst's logs grouped per applier and
+      // store partition, then run phases B-D on the wire bytes in place.
+      pkt::Packet** pkts = rx;
+      std::size_t n = got;
       if (forwarder_ != nullptr) {
-        // Chain ingress: packets arrive bare and the message to attach
-        // comes from the feedback channel (materialized by necessity), so
-        // the head keeps the legacy per-packet path.
-        for (std::size_t i = 0; i < got; ++i) ingest_packet(rx[i], thread_id);
+        pkts = ws.pkts;
+        n = splice_feedback(rx, got, ws);
       } else {
-        // Zero-copy path (paper §5.1's in-place processing): open every
-        // tail once, apply the whole burst's logs grouped per applier and
-        // store partition, then run phases B-D on the wire bytes in place.
-        ViewWork vw[kMaxBurst];
-        bool any_traced = false;
         for (std::size_t i = 0; i < got; ++i) {
           if (SFC_UNLIKELY(rx[i]->anno().trace_id != 0)) {
-            any_traced = true;
             span_event(registry_, obs::span_site_node(id_),
                        rx[i]->anno().trace_id, obs::SpanKind::kNodeIngress,
                        position_);
           }
-          vw[i].view = PiggybackView::open(*rx[i]);
-        }
-        if (slot != nullptr) {
-          const std::uint64_t t = rt::rdtsc();
-          b.prof_add(obs::ProfStage::kViewWalk, t - b.prof_mark);
-          b.prof_mark = t;
-        }
-        const std::uint64_t span_t0 = any_traced ? rt::now_ns() : 0;
-        const bool timed_apply = account_cycles_ || slot != nullptr;
-        const std::uint64_t ta0 = account_cycles_ ? rt::rdtsc() : 0;
-        apply_logs_burst(vw, got);
-        if (timed_apply) {
-          const std::uint64_t now = rt::rdtsc();
-          if (account_cycles_) b.cyc_piggyback += now - ta0;
-          if (slot != nullptr) {
-            b.prof_add(obs::ProfStage::kLogApply, now - b.prof_mark);
-            b.prof_mark = now;
-          }
-        }
-        // Traced packets report the burst apply as a per-packet share.
-        const std::uint64_t apply_share_ns =
-            any_traced ? (rt::now_ns() - span_t0) / got : 0;
-        for (std::size_t i = 0; i < got; ++i) {
-          if (SFC_UNLIKELY(rx[i]->anno().trace_id != 0) &&
-              vw[i].held_at == kNoHeldLog) {
-            span_event(registry_, obs::span_site_node(id_),
-                       rx[i]->anno().trace_id, obs::SpanKind::kApply,
-                       apply_share_ns);
-          }
-          process_view(rx[i], vw[i], thread_id);
-          if (slot != nullptr) {
-            // Starts from the chained mark (process_view's exit), so the
-            // per-packet return glue bills here; a nested drain that
-            // advanced the mark has already claimed its own time.
-            drain_parked();
-            const std::uint64_t t = rt::rdtsc();
-            b.prof_add(obs::ProfStage::kParkDrain, t - b.prof_mark);
-            b.prof_mark = t;
-          } else {
-            drain_parked();
-          }
+          ws.vw[i].view = PiggybackView::open(*rx[i]);
+          ws.vw[i].held_at = kNoHeldLog;
         }
       }
+      if (slot != nullptr) {
+        const std::uint64_t t = rt::rdtsc();
+        b.prof_add(obs::ProfStage::kViewWalk, t - b.prof_mark);
+        b.prof_mark = t;
+      }
+      run_views(pkts, ws.vw, n, thread_id);
       // Burst boundary: apply cross-shard portions other workers (or the
       // control thread) queued for this worker's partitions. Timed as its
       // own primary stage inside the burst window.
@@ -485,7 +484,7 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
         b.cyc_packets = b.cyc_process = b.cyc_piggyback = b.cyc_forward = 0;
         // Busy accounting records the per-packet average so the pipeline
         // throughput metric stays burst-invariant.
-        record_busy((rt::rdtsc() - t0 - t_blocked_cycles) / got, got);
+        record_busy((rt::rdtsc() - t0 - t_blocked_cycles) / n, n);
       }
       if (slot != nullptr) {
         // Busy wall ends here: the per-stage sums above must reconcile
@@ -501,31 +500,123 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
         }
         // Primary stages share the burst's packet count as their op count.
         for (std::size_t s = 0; s < obs::kProfPrimaryStageCount; ++s) {
-          slot->ops[s].fetch_add(got, std::memory_order_relaxed);
+          slot->ops[s].fetch_add(n, std::memory_order_relaxed);
         }
-        slot->packets.fetch_add(got, std::memory_order_relaxed);
+        slot->packets.fetch_add(n, std::memory_order_relaxed);
         slot->bursts.fetch_add(1, std::memory_order_relaxed);
         slot->wall_cycles.fetch_add(wall, std::memory_order_relaxed);
         b.prof = nullptr;
       }
       did_work = true;
+      ws.set_phase(kIdle);
     }
-    bursts_in_flight_.fetch_sub(1);
   }
 
   // Idle duties in shard mode: portions queued for this shard by other
   // workers or the control thread (NACK replay) must not wait for the
   // next ingress burst, and parked packets the control replay unblocked
   // are drained here — the control thread never transacts in shard mode.
-  if (!did_work && handoff_mesh_ != nullptr) {
+  // Held like a burst while there is something to take.
+  if (!did_work && handoff_mesh_ != nullptr &&
+      (handoff_mesh_->pending(thread_id) ||
+       !handoff_deferred_[thread_id].empty() ||
+       parked_size_.load(std::memory_order_acquire) != 0)) {
+    ++ws.bursts;
+    ws.set_phase(kHolding);
     if (drain_handoff(thread_id) != 0) did_work = true;
-    if (parked_size_.load(std::memory_order_acquire) != 0) {
-      drain_parked();
-    }
+    drain_parked();
+    ws.set_phase(kIdle);
   }
 
   active_workers_.fetch_sub(1, std::memory_order_acq_rel);
   return did_work;
+}
+
+std::size_t FtcNode::splice_feedback(pkt::Packet** rx, std::size_t got,
+                                     WorkerState& ws) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < got; ++i) {
+    pkt::Packet* p = rx[i];
+    if (SFC_UNLIKELY(p->anno().trace_id != 0)) {
+      span_event(registry_, obs::span_site_node(id_), p->anno().trace_id,
+                 obs::SpanKind::kNodeIngress, position_);
+    }
+    ws.pkts[n] = p;
+    ViewWork& w = ws.vw[n++];
+    w.held_at = kNoHeldLog;
+    // Up to two propagating packets may follow; without room for them
+    // (and for the packets still to come) the records wait.
+    std::size_t extra = 0;
+    if (n + 2 + (got - i - 1) <= kBurstViews) {
+      extra = forwarder_->splice(*p, w.view, ws.pkts + n);
+    } else {
+      w.view = PiggybackView{};
+    }
+    if (!p->anno().is_control) {
+      // Head-ingress distributions (the paper's state-size axis): what
+      // this message occupies on the wire, and how many logs ride along.
+      ws.pb_bytes.record(w.view.ok() ? w.view.tail_size()
+                                     : kWireHeaderSize + kFooterSize);
+      ws.pb_logs.record(w.view.log_count());
+    }
+    for (std::size_t e = 0; e < extra; ++e, ++n) {
+      ws.vw[n].view = PiggybackView::open(*ws.pkts[n]);
+      ws.vw[n].held_at = kNoHeldLog;
+    }
+  }
+  forwarder_->note_activity();
+  return n;
+}
+
+void FtcNode::run_views(pkt::Packet** pkts, ViewWork* vw, std::size_t n,
+                        std::uint32_t thread_id) {
+  BurstScope& b = t_burst;
+  const bool prof_here = b.prof != nullptr && b.owner == this;
+  bool any_traced = false;
+  for (std::size_t i = 0; i < n && !any_traced; ++i) {
+    any_traced = pkts[i]->anno().trace_id != 0;
+  }
+  const std::uint64_t span_t0 = any_traced ? rt::now_ns() : 0;
+  const bool timed_apply = account_cycles_ || prof_here;
+  const std::uint64_t ta0 = account_cycles_ ? rt::rdtsc() : 0;
+  apply_logs_burst(vw, n);
+  if (timed_apply) {
+    const std::uint64_t now = rt::rdtsc();
+    if (account_cycles_) {
+      if (b.owner == this) {
+        b.cyc_piggyback += now - ta0;
+      } else {
+        cyc_piggyback_.fetch_add(now - ta0, std::memory_order_relaxed);
+      }
+    }
+    if (prof_here) {
+      b.prof_add(obs::ProfStage::kLogApply, now - b.prof_mark);
+      b.prof_mark = now;
+    }
+  }
+  // Traced packets report the burst apply as a per-packet share.
+  const std::uint64_t apply_share_ns =
+      any_traced ? (rt::now_ns() - span_t0) / n : 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (SFC_UNLIKELY(pkts[i]->anno().trace_id != 0) &&
+        vw[i].held_at == kNoHeldLog) {
+      span_event(registry_, obs::span_site_node(id_),
+                 pkts[i]->anno().trace_id, obs::SpanKind::kApply,
+                 apply_share_ns);
+    }
+    process_view(pkts[i], vw[i], thread_id);
+    if (prof_here) {
+      // Starts from the chained mark (process_view's exit), so the
+      // per-packet return glue bills here; a nested drain that advanced
+      // the mark has already claimed its own time.
+      drain_parked();
+      const std::uint64_t t = rt::rdtsc();
+      b.prof_add(obs::ProfStage::kParkDrain, t - b.prof_mark);
+      b.prof_mark = t;
+    } else {
+      drain_parked();
+    }
+  }
 }
 
 std::size_t FtcNode::drain_handoff(std::uint32_t thread_id) {
@@ -569,42 +660,6 @@ std::size_t FtcNode::drain_handoff(std::uint32_t thread_id) {
     }
   }
   return resolved;
-}
-
-void FtcNode::ingest_packet(pkt::Packet* p, std::uint32_t thread_id) {
-  if (SFC_UNLIKELY(p->anno().trace_id != 0)) {
-    span_event(registry_, obs::span_site_node(id_), p->anno().trace_id,
-               obs::SpanKind::kNodeIngress, position_);
-  }
-  Work work;
-  work.packet = p;
-  work.thread_id = thread_id;
-  const bool prof_here = t_burst.prof != nullptr && t_burst.owner == this;
-  const bool timed = account_cycles_ || prof_here;
-  const std::uint64_t t0 = account_cycles_ ? rt::rdtsc() : 0;
-  if (forwarder_ != nullptr) {
-    // Chain ingress: outside packets carry no message; attach pending
-    // feedback from the buffer.
-    work.msg = forwarder_->collect();
-    // Head-ingress distributions (the paper's state-size axis): what this
-    // message will occupy on the wire, and how many logs ride along.
-    {
-      LockGuard lock(pb_mutex_);
-      pb_bytes_hist_.record(serialized_size(work.msg, cfg_.num_partitions));
-      pb_logs_hist_.record(work.msg.logs.size());
-    }
-  } else if (auto msg = extract_message(*p)) {
-    work.msg = std::move(*msg);
-  }
-  if (timed) {
-    const std::uint64_t now = rt::rdtsc();
-    if (account_cycles_) t_burst.cyc_piggyback += now - t0;
-    if (prof_here) {
-      t_burst.prof_add(obs::ProfStage::kViewWalk, now - t_burst.prof_mark);
-      t_burst.prof_mark = now;
-    }
-  }
-  process_work(std::move(work));
 }
 
 void FtcNode::process_work(Work&& work) {
@@ -893,13 +948,20 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
     }
   }
 
+  // Meter wire bytes only, matching the legacy path where the tail was
+  // stripped before the packet was measured.
   if (p->anno().is_control) {
-    ++b.control_packets;
-  } else {
+    if (b.owner == this) {
+      ++b.control_packets;
+    } else {
+      stats_.control_packets->inc();
+    }
+  } else if (b.owner == this) {
     ++b.data_packets;
-    // Meter wire bytes only, matching the legacy path where the tail was
-    // stripped before the packet was measured.
     b.data_bytes += v.ok() ? v.wire_size() : p->size();
+  } else {
+    meter_.add(1, v.ok() ? v.wire_size() : p->size());
+    stats_.packets_processed->inc();
   }
 
   // --- Phase D: emit, appending our own log in place. ---
@@ -1190,6 +1252,10 @@ void FtcNode::emit_propagating(PiggybackMessage&& msg) {
 }
 
 void FtcNode::drain_parked() {
+  // Runs once per packet-hop: nothing parked is the steady state, and it
+  // costs one load. Every park() re-drains after parking, so work parked
+  // by this thread is always seen here.
+  if (parked_size_.load(std::memory_order_acquire) == 0) return;
   // Iterative and non-reentrant: finish_work() can cascade into further
   // processing, so a recursive drain could overflow the stack under loss.
   thread_local bool draining = false;
@@ -1202,6 +1268,7 @@ void FtcNode::drain_parked() {
       LockGuard lock(park_mutex_);
       if (parked_.empty()) break;
       candidates.swap(parked_);
+      parked_in_hand_ += candidates.size();
       parked_size_.store(0, std::memory_order_release);
     }
     bool progress = false;
@@ -1229,9 +1296,10 @@ void FtcNode::drain_parked() {
         still_blocked.push_back(std::move(work));
       }
     }
-    if (!still_blocked.empty()) {
+    {
       LockGuard lock(park_mutex_);
       for (auto& work : still_blocked) parked_.push_back(std::move(work));
+      parked_in_hand_ -= candidates.size();
       parked_size_.store(parked_.size(), std::memory_order_release);
     }
     if (!progress) break;
@@ -1435,18 +1503,20 @@ void FtcNode::handle_fetch(const net::Message& req) {
   bool ok = false;
   // Paper §5.2: the fetch source stops admitting packets so the transfer
   // is a consistent cut; we quiesce the data workers for the serialization.
+  // The blob is serialized straight into the response after the ok flag.
+  const std::size_t ok_at = resp.payload.size();
+  put_u32(resp.payload, 0);
   quiesce_and([&] {
-    std::vector<std::uint8_t> blob;
     if (head_ != nullptr && mbox == position_) {
-      head_->serialize(blob);
+      head_->serialize(resp.payload);
       ok = true;
     } else if (InOrderApplier* a = applier(mbox)) {
-      a->serialize(blob);
+      a->serialize(resp.payload);
       ok = true;
     }
-    put_u32(resp.payload, ok ? 1 : 0);
-    resp.payload.insert(resp.payload.end(), blob.begin(), blob.end());
   });
+  const std::uint32_t ok_flag = ok ? 1 : 0;
+  std::memcpy(resp.payload.data() + ok_at, &ok_flag, 4);
   ctrl_.send(std::move(resp));
 }
 

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "base/mutex.hpp"
@@ -153,9 +154,10 @@ class FtcNode : rt::NonCopyable {
   HeadStore* head() noexcept { return head_.get(); }
   InOrderApplier* applier(MboxId mbox) noexcept;
   NodeStats stats() const;
+  /// Parked packets, including those a drain has taken out to retry.
   std::size_t parked_count() const {
     LockGuard lock(park_mutex_);
-    return parked_.size();
+    return parked_.size() + parked_in_hand_;
   }
   /// Per-store NACK throttle entries currently held (tests assert a ring
   /// predecessor change clears them; see set_ring_pred).
@@ -163,13 +165,15 @@ class FtcNode : rt::NonCopyable {
     LockGuard lock(park_mutex_);
     return last_nack_ns_.size();
   }
-  /// Workers currently holding a polled burst (packets popped from the
-  /// ingress link but not yet applied/forwarded). Those packets are in no
-  /// link queue, so quiescence checks must consult this too: a burst in a
-  /// worker's hands can carry logs its successors have not applied yet.
-  std::uint32_t bursts_in_flight() const noexcept {
-    return bursts_in_flight_.load(std::memory_order_acquire);
-  }
+  /// Quiescence stamp: the bursts this node's workers have taken so far,
+  /// or nullopt while one holds packets or feedback it took from a queue
+  /// and has not finished with (a polled burst, an idle-time propagating
+  /// packet, an idle drain). Those sit in no queue, so quiescence checks
+  /// must consult this too — they can carry logs the successors have not
+  /// applied yet. Taken before and after the queue checks, two equal
+  /// stamps show no worker took anything in between. A poll in progress
+  /// is waited out: an empty one is no burst, so an idle chain reads idle.
+  std::optional<std::uint64_t> burst_stamp() const;
   /// True while any cross-shard handoff ring holds an un-drained portion
   /// (shard-affine mode). Quiescence checks must consult this: an enqueued
   /// portion's log counted as applied at classification but its writes
@@ -238,10 +242,43 @@ class FtcNode : rt::NonCopyable {
     std::uint32_t held_at{kNoHeldLog};
   };
 
+  /// Packets one burst can run: the polled ones plus the propagating
+  /// packets feedback records spilled onto (at most two per packet; the
+  /// ingress stops splicing when they might not fit).
+  static constexpr std::size_t kBurstViews = 2 * kMaxBurst;
+
+  /// What a worker holds, published for burst_stamp(): bits 0-1 the
+  /// phase, the rest the bursts taken so far.
+  enum Phase : std::uint64_t { kIdle = 0, kPolling = 1, kHolding = 2 };
+
+  /// Per data worker state, reused across bursts: the phase word, and the
+  /// burst's packet and view arrays (built for the packets a burst holds,
+  /// not for kBurstViews).
+  struct WorkerState {
+    alignas(rt::kCacheLineSize) std::atomic<std::uint64_t> phase{kIdle};
+    std::uint64_t bursts{0};
+    /// Head-ingress piggyback size distributions (recorded at the chain
+    /// ingress only).
+    rt::SingleWriterHistogram pb_bytes;
+    rt::SingleWriterHistogram pb_logs;
+    pkt::Packet* pkts[kBurstViews];
+    ViewWork vw[kBurstViews];
+
+    void set_phase(Phase ph) noexcept {
+      phase.store((bursts << 2) | ph, std::memory_order_seq_cst);
+    }
+  };
+
   bool worker_body(std::uint32_t thread_id);
-  /// Runs one received packet through the pipeline (head / legacy burst
-  /// loop body; non-head bursts take apply_logs_burst + process_view).
-  void ingest_packet(pkt::Packet* p, std::uint32_t thread_id);
+  /// Chain ingress: splices pending feedback onto the @p got polled
+  /// packets (and the propagating packets records spill onto) into
+  /// @p ws's arrays, opening every view. Returns the packets to run.
+  std::size_t splice_feedback(pkt::Packet** rx, std::size_t got,
+                              WorkerState& ws);
+  /// Runs @p n packets with opened views through the zero-copy path:
+  /// apply_logs_burst, then process_view and a parked drain per packet.
+  void run_views(pkt::Packet** pkts, ViewWork* vw, std::size_t n,
+                 std::uint32_t thread_id);
   /// Phase A over a whole rx burst of tail views: logs are grouped per
   /// applier so each MAX mutex and each touched store partition is taken
   /// once per burst, and applicable writes are copied straight from the
@@ -325,6 +362,8 @@ class FtcNode : rt::NonCopyable {
   // it (parked_count), so it must rank below obs.registry.
   mutable Mutex park_mutex_{ranks::kNode, "node.park"};
   std::vector<Work> parked_ SFC_GUARDED_BY(park_mutex_);
+  /// Parked work a drain has taken out and not yet finished or re-parked.
+  std::size_t parked_in_hand_ SFC_GUARDED_BY(park_mutex_){0};
   std::map<MboxId, std::uint64_t> last_nack_ns_ SFC_GUARDED_BY(park_mutex_);
   /// Mirror of parked_.size(), updated under park_mutex_, read lock-free
   /// by idle data workers: in shard mode the control thread must not run
@@ -338,7 +377,7 @@ class FtcNode : rt::NonCopyable {
   std::atomic<bool> failed_{false};
   std::atomic<bool> quiesced_{false};
   std::atomic<int> active_workers_{0};
-  std::atomic<std::uint32_t> bursts_in_flight_{0};
+  std::unique_ptr<WorkerState[]> worker_state_;
 
   // Stats / observability.
   rt::Meter meter_;
@@ -349,12 +388,7 @@ class FtcNode : rt::NonCopyable {
   bool account_cycles_{false};
   mutable Mutex busy_mutex_{ranks::kLeaf, "node.busy_hist"};
   rt::Histogram busy_hist_ SFC_GUARDED_BY(busy_mutex_);
-  // Head-ingress piggyback size distributions (registered lazily by
-  // set_forwarder; only the chain ingress records them).
   bool pb_hists_registered_{false};
-  mutable Mutex pb_mutex_{ranks::kLeaf, "node.pb_hist"};
-  rt::Histogram pb_bytes_hist_ SFC_GUARDED_BY(pb_mutex_);
-  rt::Histogram pb_logs_hist_ SFC_GUARDED_BY(pb_mutex_);
   std::atomic<std::uint64_t> cyc_packets_{0};
   std::atomic<std::uint64_t> cyc_process_{0};
   std::atomic<std::uint64_t> cyc_piggyback_{0};

@@ -136,12 +136,10 @@ std::size_t serialized_size(const PiggybackMessage& msg,
   return n + kFooterSize;
 }
 
-bool append_message(pkt::Packet& p, const PiggybackMessage& msg,
-                    std::size_t num_partitions) {
+void serialize_message(const PiggybackMessage& msg, std::size_t num_partitions,
+                       std::uint8_t* out) noexcept {
   const std::size_t total = serialized_size(msg, num_partitions);
-  if (p.tailroom() < total) return false;
-
-  Writer w(p.push_back(total));
+  Writer w(out);
   w.pod<std::uint16_t>(static_cast<std::uint16_t>(msg.logs.size()));
   w.pod<std::uint16_t>(static_cast<std::uint16_t>(msg.commits.size()));
   w.pod<std::uint16_t>(static_cast<std::uint16_t>(num_partitions));
@@ -156,6 +154,13 @@ bool append_message(pkt::Packet& p, const PiggybackMessage& msg,
   }
   w.pod<std::uint32_t>(static_cast<std::uint32_t>(total - kFooterSize));
   w.pod<std::uint32_t>(kFooterMagic);
+}
+
+bool append_message(pkt::Packet& p, const PiggybackMessage& msg,
+                    std::size_t num_partitions) {
+  const std::size_t total = serialized_size(msg, num_partitions);
+  if (p.tailroom() < total) return false;
+  serialize_message(msg, num_partitions, p.push_back(total));
   return true;
 }
 
@@ -304,58 +309,97 @@ PiggybackLog materialize_log(const WireLog& wire) {
   return log;
 }
 
-PiggybackView PiggybackView::open(pkt::Packet& p) noexcept {
-  PiggybackView v;
-  if (!has_message(p)) return v;
-  std::uint32_t body_len = 0;
-  std::memcpy(&body_len, p.data() + p.size() - kFooterSize, 4);
-  if (p.size() < kFooterSize + body_len || body_len < kWireHeaderSize) return v;
+namespace {
 
-  const std::uint8_t* b = p.data() + p.size() - kFooterSize - body_len;
+/// Where the parts of a validated serialized message sit.
+struct Layout {
+  std::uint32_t body_len{0};
+  std::uint32_t logs_end{0};  ///< Body offset where the commit region starts.
+  std::uint16_t commit_count{0};
+  std::uint16_t num_partitions{0};
+};
+
+/// Validates the message whose footer ends at data + size — footer, header,
+/// every log and write bound, the commit-region width — and records each
+/// log's body offset. One walk; callers are bounds-check-free afterwards.
+bool scan_message(const std::uint8_t* data, std::size_t size, Layout& out,
+                  rt::SmallVector<std::uint32_t, 8>& log_off) noexcept {
+  if (size < kFooterSize) return false;
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, data + size - 4, 4);
+  if (magic != kFooterMagic) return false;
+  std::uint32_t body_len = 0;
+  std::memcpy(&body_len, data + size - kFooterSize, 4);
+  if (size < kFooterSize + body_len || body_len < kWireHeaderSize) return false;
+
+  const std::uint8_t* b = data + size - kFooterSize - body_len;
   std::uint16_t log_count = 0, commit_count = 0, num_partitions = 0;
   std::memcpy(&log_count, b, 2);
   std::memcpy(&commit_count, b + 2, 2);
   std::memcpy(&num_partitions, b + 4, 2);
-  if (num_partitions > state::kMaxPartitions) return v;
+  if (num_partitions > state::kMaxPartitions) return false;
 
-  // One validation walk over the log region; iteration and mutation are
-  // bounds-check-free afterwards.
   std::size_t off = kWireHeaderSize;
   for (std::uint16_t i = 0; i < log_count; ++i) {
-    if (body_len - off < 12) return v;
+    if (body_len - off < 12) return false;
     std::uint64_t mask = 0;
     std::memcpy(&mask, b + off + 4, 8);
     // Bits beyond the partition range would desynchronize the sequence
     // array length between writer and reader: reject as malformed.
-    if ((mask >> state::kMaxPartitions) != 0) return v;
+    if ((mask >> state::kMaxPartitions) != 0) return false;
     std::size_t need = 12 + 8 * static_cast<std::size_t>(std::popcount(mask));
-    if (body_len - off < need + 2) return v;
+    if (body_len - off < need + 2) return false;
     std::uint16_t write_count = 0;
     std::memcpy(&write_count, b + off + need, 2);
     need += 2;
     for (std::uint16_t wi = 0; wi < write_count; ++wi) {
-      if (body_len - off < need + 10) return v;
+      if (body_len - off < need + 10) return false;
       std::uint16_t len_flags = 0;
       std::memcpy(&len_flags, b + off + need + 8, 2);
       need += 10 + (len_flags & kLenMask);
-      if (body_len - off < need) return v;
+      if (body_len - off < need) return false;
     }
-    v.log_off_.push_back(static_cast<std::uint32_t>(off));
+    log_off.push_back(static_cast<std::uint32_t>(off));
     off += need;
   }
   const std::size_t commit_bytes =
       static_cast<std::size_t>(commit_count) * (4 + 8 * num_partitions);
-  if (body_len - off != commit_bytes) {
+  if (body_len - off != commit_bytes) return false;
+
+  out.body_len = body_len;
+  out.logs_end = static_cast<std::uint32_t>(off);
+  out.commit_count = commit_count;
+  out.num_partitions = num_partitions;
+  return true;
+}
+
+}  // namespace
+
+PiggybackView PiggybackView::open(pkt::Packet& p) noexcept {
+  PiggybackView v;
+  Layout l;
+  if (!scan_message(p.data(), p.size(), l, v.log_off_)) {
     v.log_off_.clear();
     return v;
   }
-
   v.p_ = &p;
-  v.body_off_ = static_cast<std::uint32_t>(p.size() - kFooterSize - body_len);
-  v.body_len_ = body_len;
-  v.logs_end_ = static_cast<std::uint32_t>(off);
-  v.commit_count_ = commit_count;
-  v.num_partitions_ = num_partitions;
+  v.body_off_ = static_cast<std::uint32_t>(p.size() - kFooterSize - l.body_len);
+  v.body_len_ = l.body_len;
+  v.logs_end_ = l.logs_end;
+  v.commit_count_ = l.commit_count;
+  v.num_partitions_ = l.num_partitions;
+  return v;
+}
+
+PiggybackView PiggybackView::attach(pkt::Packet& p,
+                                    std::span<const std::uint8_t> msg) {
+  if (p.tailroom() < msg.size()) return PiggybackView{};
+  std::memcpy(p.push_back(msg.size()), msg.data(), msg.size());
+  PiggybackView v = open(p);
+  if (!v.ok() || v.tail_size() != msg.size()) {
+    p.trim_back(msg.size());
+    return PiggybackView{};
+  }
   return v;
 }
 
@@ -403,18 +447,23 @@ MboxId PiggybackView::commit(std::size_t i, MaxVector& out) const noexcept {
   return mbox;
 }
 
-bool PiggybackView::set_commit(MboxId mbox, const MaxVector& max) {
-  std::uint8_t* entry = body() + logs_end_;
-  for (std::uint16_t i = 0; i < commit_count_; ++i, entry += commit_entry_size()) {
+std::size_t PiggybackView::find_commit_entry(MboxId mbox) const noexcept {
+  std::size_t off = logs_end_;
+  for (std::uint16_t i = 0; i < commit_count_; ++i, off += commit_entry_size()) {
     MboxId m = 0;
-    std::memcpy(&m, entry, 4);
-    if (m == mbox) {
-      // Fixed-width overwrite: the dominant case once a tail has attached
-      // its vector before (latest wins, exactly like the legacy
-      // PiggybackMessage::set_commit).
-      std::memcpy(entry + 4, max.seq.data(), 8 * num_partitions_);
-      return true;
-    }
+    std::memcpy(&m, body() + off, 4);
+    if (m == mbox) return off;
+  }
+  return 0;
+}
+
+bool PiggybackView::set_commit(MboxId mbox, const MaxVector& max) {
+  if (const std::size_t off = find_commit_entry(mbox); off != 0) {
+    // Fixed-width overwrite: the dominant case once a tail has attached
+    // its vector before (latest wins, exactly like the legacy
+    // PiggybackMessage::set_commit).
+    std::memcpy(body() + off + 4, max.seq.data(), 8 * num_partitions_);
+    return true;
   }
   const std::size_t need = commit_entry_size();
   if (p_->tailroom() < need) return false;
@@ -429,6 +478,71 @@ bool PiggybackView::set_commit(MboxId mbox, const MaxVector& max) {
   body_len_ += static_cast<std::uint32_t>(need);
   sync_header_footer();
   return true;
+}
+
+bool PiggybackView::merge_commit(MboxId mbox, const MaxVector& max) {
+  const std::size_t off = find_commit_entry(mbox);
+  if (off == 0) return set_commit(mbox, max);
+  std::uint8_t* seq = body() + off + 4;
+  for (std::size_t i = 0; i < num_partitions_; ++i) {
+    std::uint64_t mine = 0;
+    std::memcpy(&mine, seq + 8 * i, 8);
+    if (max.seq[i] > mine) std::memcpy(seq + 8 * i, &max.seq[i], 8);
+  }
+  return true;
+}
+
+bool PiggybackView::merge(std::span<const std::uint8_t> msg) {
+  Layout m;
+  rt::SmallVector<std::uint32_t, 8> offs;
+  if (!scan_message(msg.data(), msg.size(), m, offs) ||
+      m.body_len + kFooterSize != msg.size() ||
+      (m.commit_count != 0 && m.num_partitions != num_partitions_) ||
+      log_off_.size() + offs.size() > 0xffff) {
+    return false;
+  }
+  // Check the whole growth up front so a short tailroom leaves the packet
+  // untouched: the raw log bytes plus one entry per commit vector we lack.
+  const std::uint8_t* mb = msg.data();
+  const std::size_t log_bytes = m.logs_end - kWireHeaderSize;
+  std::size_t need = log_bytes;
+  for (std::uint16_t i = 0; i < m.commit_count; ++i) {
+    MboxId mbox = 0;
+    std::memcpy(&mbox, mb + m.logs_end + i * commit_entry_size(), 4);
+    if (find_commit_entry(mbox) == 0) need += commit_entry_size();
+  }
+  if (p_->tailroom() < need) return false;
+
+  if (log_bytes != 0) {
+    p_->push_back(log_bytes);
+    std::uint8_t* commits_begin = body() + logs_end_;
+    std::memmove(commits_begin + log_bytes, commits_begin,
+                 (body_len_ - logs_end_) + kFooterSize);
+    std::memcpy(commits_begin, mb + kWireHeaderSize, log_bytes);
+    for (const std::uint32_t off : offs) {
+      log_off_.push_back(logs_end_ + off - static_cast<std::uint32_t>(kWireHeaderSize));
+    }
+    logs_end_ += static_cast<std::uint32_t>(log_bytes);
+    body_len_ += static_cast<std::uint32_t>(log_bytes);
+    sync_header_footer();
+  }
+  for (std::uint16_t i = 0; i < m.commit_count; ++i) {
+    const std::uint8_t* entry = mb + m.logs_end + i * commit_entry_size();
+    MboxId mbox = 0;
+    std::memcpy(&mbox, entry, 4);
+    MaxVector max;
+    std::memcpy(max.seq.data(), entry + 4, 8 * num_partitions_);
+    merge_commit(mbox, max);  // Fits: the growth was checked above.
+  }
+  return true;
+}
+
+void PiggybackView::copy_logs(std::uint8_t* out) const noexcept {
+  std::memcpy(out, body(), logs_end_);  // Header + log region.
+  const std::uint16_t no_commits = 0;
+  std::memcpy(out + 2, &no_commits, 2);
+  std::memcpy(out + logs_end_, &logs_end_, 4);
+  std::memcpy(out + logs_end_ + 4, &kFooterMagic, 4);
 }
 
 bool PiggybackView::append_log(const PiggybackLog& log) {

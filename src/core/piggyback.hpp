@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/dep_vector.hpp"
@@ -77,8 +78,9 @@ struct PiggybackMessage {
   void strip_commit_of(MboxId mbox);
 
   /// Merges another message into this one: logs are concatenated in order,
-  /// commit vectors merged componentwise (used by the forwarder when
-  /// several buffer hand-offs ride one ingress packet).
+  /// commit vectors merged componentwise. The data path merges feedback
+  /// records on the wire (PiggybackView::merge); this stays as the
+  /// reference the tests check that splice against.
   void merge(PiggybackMessage&& other);
 
   friend bool operator==(const PiggybackMessage&, const PiggybackMessage&) =
@@ -89,6 +91,11 @@ struct PiggybackMessage {
 /// (including the footer).
 std::size_t serialized_size(const PiggybackMessage& msg,
                             std::size_t num_partitions) noexcept;
+
+/// Serializes @p msg (header through footer) into @p out, which must hold
+/// serialized_size(msg, num_partitions) bytes.
+void serialize_message(const PiggybackMessage& msg, std::size_t num_partitions,
+                       std::uint8_t* out) noexcept;
 
 /// Appends @p msg to the packet's tail. Returns false (packet untouched)
 /// if the tailroom cannot hold it — the caller treats this as the
@@ -167,6 +174,13 @@ class PiggybackView {
   /// and opens it. Invalid view when the tailroom is short.
   static PiggybackView create(pkt::Packet& p, std::size_t num_partitions);
 
+  /// Attaches a serialized message (header through footer, as copy_logs()
+  /// or serialize_message() write it) as the tail of a packet without one —
+  /// one memcpy — and opens it. Invalid view, packet untouched, when the
+  /// tailroom is short or the bytes are not a valid message.
+  static PiggybackView attach(pkt::Packet& p,
+                              std::span<const std::uint8_t> msg);
+
   bool ok() const noexcept { return p_ != nullptr; }
   std::size_t log_count() const noexcept { return log_off_.size(); }
   std::size_t commit_count() const noexcept { return commit_count_; }
@@ -195,6 +209,29 @@ class PiggybackView {
   /// tailroom cannot hold it.
   bool append_log(const PiggybackLog& log);
 
+  /// Merges @p max componentwise into the commit vector of @p mbox, or
+  /// appends it when absent. Returns false — packet unmodified — when an
+  /// append would not fit the tailroom.
+  bool merge_commit(MboxId mbox, const MaxVector& max);
+
+  /// Merges a serialized message into this one in place, with
+  /// PiggybackMessage::merge semantics and neither side materialized: its
+  /// log records are appended as raw bytes after ours, its commit vectors
+  /// merged componentwise (merge_commit). Returns false — packet unmodified
+  /// — when @p msg is malformed, carries commit vectors of another width,
+  /// or does not fit the tailroom.
+  bool merge(std::span<const std::uint8_t> msg);
+
+  /// Size of this message with its commit vectors dropped (what
+  /// copy_logs() writes).
+  std::size_t logs_message_size() const noexcept {
+    return logs_end_ + kFooterSize;
+  }
+
+  /// Writes this message without its commit vectors — header, the raw log
+  /// region, footer — to @p out, which must hold logs_message_size() bytes.
+  void copy_logs(std::uint8_t* out) const noexcept;
+
   /// Removes every log of @p mbox with one compacting pass over the log
   /// region; logs that stay are moved at most once and a message without
   /// logs of @p mbox is untouched. Returns the number removed.
@@ -211,6 +248,8 @@ class PiggybackView {
   }
   /// Rewrites the header counts and the (possibly moved) footer.
   void sync_header_footer() noexcept;
+  /// Byte offset of the commit entry of @p mbox in the body, or 0.
+  std::size_t find_commit_entry(MboxId mbox) const noexcept;
 
   pkt::Packet* p_{nullptr};
   std::uint32_t body_off_{0};   ///< Offset of the body from packet data().

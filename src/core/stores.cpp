@@ -60,13 +60,20 @@ bool take_vector(std::span<const std::uint8_t>& in, MaxVector& v) {
   return true;
 }
 
+/// Appends the length-prefixed store blob, serialized in place: the
+/// length is patched in once the store has written itself.
+void serialize_store(state::StateStore& store, std::vector<std::uint8_t>& out) {
+  const std::size_t len_at = out.size();
+  put_u32(out, 0);
+  store.serialize(out);
+  const auto len = static_cast<std::uint32_t>(out.size() - len_at - 4);
+  std::memcpy(out.data() + len_at, &len, 4);
+}
+
 }  // namespace
 
 void HeadStore::serialize(std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> store_blob;
-  store_.serialize(store_blob);
-  put_u32(out, static_cast<std::uint32_t>(store_blob.size()));
-  out.insert(out.end(), store_blob.begin(), store_blob.end());
+  serialize_store(store_, out);
   MaxVector deps;
   deps.seq = txn_ctx_.sequence_snapshot();
   put_vector(out, deps);
@@ -349,10 +356,7 @@ void InOrderApplier::offer_burst(std::span<const WireLog> logs,
 }
 
 void InOrderApplier::serialize(std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> store_blob;
-  store_.serialize(store_blob);
-  put_u32(out, static_cast<std::uint32_t>(store_blob.size()));
-  out.insert(out.end(), store_blob.begin(), store_blob.end());
+  serialize_store(store_, out);
   put_vector(out, max());
   serialize_logs(history_.logs_after(MaxVector{}), out);
 }

@@ -13,9 +13,10 @@ namespace {
 /// Cold path of the tracing branch: call only after trace_id != 0.
 inline void span_event(obs::Registry* reg, std::uint32_t site,
                        std::uint64_t trace_id, obs::SpanKind kind,
-                       std::uint64_t a = 0) noexcept {
+                       std::uint64_t a = 0, std::uint64_t ts = 0) noexcept {
   if (auto* sink = reg->span_sink()) {
-    sink->record(obs::SpanRecord{trace_id, rt::now_ns(), a, site, kind});
+    sink->record(obs::SpanRecord{trace_id, ts != 0 ? ts : rt::now_ns(), a,
+                                 site, kind});
   }
 }
 
@@ -57,13 +58,17 @@ bool Link::send(pkt::Packet* p) {
   const std::uint64_t trace_id = p->anno().trace_id;
 
   if (fast_path_) {
+    // Stamped before the push: the consumer may receive (and stamp) the
+    // packet before this thread records its entry.
+    const std::uint64_t enter_ns = trace_id != 0 ? rt::now_ns() : 0;
     if (!fast_queue_.try_push(std::move(p))) {
       dropped_full_->inc();
       return false;
     }
     sent_->inc();
     if (trace_id != 0) {
-      span_event(registry_, span_site_, trace_id, obs::SpanKind::kLinkEnter);
+      span_event(registry_, span_site_, trace_id, obs::SpanKind::kLinkEnter,
+                 0, enter_ns);
     }
     return true;
   }
@@ -147,9 +152,13 @@ std::size_t Link::send_burst(std::span<pkt::Packet*> ps) {
     while (total < ps.size()) {
       const auto chunk =
           ps.subspan(total, std::min(kChunk, ps.size() - total));
+      bool any_traced = false;
       for (std::size_t i = 0; i < chunk.size(); ++i) {
         traced[i] = chunk[i]->anno().trace_id;
+        any_traced |= traced[i] != 0;
       }
+      // Stamped before the push, as in send().
+      const std::uint64_t enter_ns = any_traced ? rt::now_ns() : 0;
       const std::size_t n = fast_queue_.try_push_n(chunk);
       if (n == 0) {
         // The head packet found the queue full.
@@ -160,7 +169,7 @@ std::size_t Link::send_burst(std::span<pkt::Packet*> ps) {
       for (std::size_t i = 0; i < n; ++i) {
         if (SFC_UNLIKELY(traced[i] != 0)) {
           span_event(registry_, span_site_, traced[i],
-                     obs::SpanKind::kLinkEnter);
+                     obs::SpanKind::kLinkEnter, 0, enter_ns);
         }
       }
       total += n;

@@ -48,12 +48,13 @@ void Orchestrator::start() {
 void Orchestrator::stop() { monitor_.reset(); }
 
 bool Orchestrator::monitor_body() {
-  const std::uint64_t now = rt::now_ns();
-
   // Absorb pongs.
   while (auto msg = ctrl_.poll(net::kOrchestratorNode)) {
     if (msg->type == CtrlMsg::kPong) last_seen_ns_[msg->from] = rt::now_ns();
   }
+  // Read after the pongs: a pong stamped later than `now` would wrap the
+  // unsigned silence below and read as a failure.
+  const std::uint64_t now = rt::now_ns();
 
   if (now < next_ping_ns_) return false;
   next_ping_ns_ = now + cfg_.heartbeat_interval_ns;

@@ -80,4 +80,18 @@ std::vector<std::pair<std::uint64_t, double>> Histogram::cdf() const {
   return out;
 }
 
+SingleWriterHistogram::SingleWriterHistogram()
+    : buckets_(std::make_unique<std::atomic<std::uint64_t>[]>(
+          Histogram::kNumBuckets)) {}
+
+void SingleWriterHistogram::merge_into(Histogram& out) const noexcept {
+  for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+    out.buckets_[i] += buckets_[i].load(std::memory_order_relaxed);
+  }
+  out.count_ += count_.load(std::memory_order_relaxed);
+  out.sum_ += sum_.load(std::memory_order_relaxed);
+  out.min_ = std::min(out.min_, min_.load(std::memory_order_relaxed));
+  out.max_ = std::max(out.max_, max_.load(std::memory_order_relaxed));
+}
+
 }  // namespace sfc::rt

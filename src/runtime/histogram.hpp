@@ -6,8 +6,10 @@
 // the recorder run at line rate (one increment, no allocation).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -50,6 +52,8 @@ class Histogram {
   std::vector<std::pair<std::uint64_t, double>> cdf() const;
 
  private:
+  friend class SingleWriterHistogram;
+
   // 64 exact buckets, then 58 octaves x 32 sub-buckets.
   static constexpr std::size_t kExactBuckets = 64;
   static constexpr std::size_t kSubBuckets = 32;
@@ -65,6 +69,43 @@ class Histogram {
   std::uint64_t sum_{0};
   std::uint64_t min_{~0ULL};
   std::uint64_t max_{0};
+};
+
+/// Histogram recorded by one thread and read by any: record() is relaxed
+/// atomic loads and stores — no lock and no read-modify-write on the
+/// recording path — and merge_into() copies the cells into a Histogram.
+/// Cells are read one at a time, so a copy taken during a record() may
+/// hold part of that one sample.
+class SingleWriterHistogram {
+ public:
+  SingleWriterHistogram();
+
+  /// Records one value. Only the owning thread may call this.
+  void record(std::uint64_t value) noexcept {
+    const auto bump = [](std::atomic<std::uint64_t>& cell, std::uint64_t d) {
+      cell.store(cell.load(std::memory_order_relaxed) + d,
+                 std::memory_order_relaxed);
+    };
+    bump(buckets_[Histogram::bucket_index(value)], 1);
+    bump(count_, 1);
+    bump(sum_, value);
+    if (value < min_.load(std::memory_order_relaxed)) {
+      min_.store(value, std::memory_order_relaxed);
+    }
+    if (value > max_.load(std::memory_order_relaxed)) {
+      max_.store(value, std::memory_order_relaxed);
+    }
+  }
+
+  /// Adds the recorded samples to @p out (any thread).
+  void merge_into(Histogram& out) const noexcept;
+
+ private:
+  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{~0ULL};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace sfc::rt

@@ -28,6 +28,26 @@ class MpmcQueue : NonCopyable {
   }
 
   bool try_push(T&& value) noexcept {
+    return try_push_with([&value](T& slot) { slot = std::move(value); });
+  }
+
+  bool try_push(const T& value) noexcept {
+    T copy = value;
+    return try_push(std::move(copy));
+  }
+
+  std::optional<T> try_pop() noexcept {
+    std::optional<T> out;
+    try_pop_with([&out](T& slot) { out.emplace(std::move(slot)); });
+    return out;
+  }
+
+  /// try_push() that builds the element in its slot: @p fill(T&) runs on
+  /// the claimed slot before it is published, so a large element is
+  /// written once instead of built elsewhere and copied in. @p fill runs
+  /// only when a slot was claimed; false (fill not called) when full.
+  template <typename Fill>
+  bool try_push_with(Fill&& fill) noexcept {
     Slot* slot;
     auto pos = head_.load(std::memory_order_relaxed);
     for (;;) {
@@ -46,17 +66,16 @@ class MpmcQueue : NonCopyable {
         pos = head_.load(std::memory_order_relaxed);
       }
     }
-    slot->value = std::move(value);
+    fill(slot->value);
     slot->seq.store(pos + 1, std::memory_order_release);
     return true;
   }
 
-  bool try_push(const T& value) noexcept {
-    T copy = value;
-    return try_push(std::move(copy));
-  }
-
-  std::optional<T> try_pop() noexcept {
+  /// try_pop() that reads the element in its slot: @p read(T&) runs on the
+  /// claimed slot before it is released to producers, so a large element
+  /// is never copied out. False (read not called) when empty.
+  template <typename Read>
+  bool try_pop_with(Read&& read) noexcept {
     Slot* slot;
     auto pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
@@ -70,14 +89,14 @@ class MpmcQueue : NonCopyable {
           break;
         }
       } else if (diff < 0) {
-        return std::nullopt;  // Empty.
+        return false;  // Empty.
       } else {
         pos = tail_.load(std::memory_order_relaxed);
       }
     }
-    std::optional<T> out{std::move(slot->value)};
+    read(slot->value);
     slot->seq.store(pos + mask_ + 1, std::memory_order_release);
-    return out;
+    return true;
   }
 
   /// Pushes a prefix of @p values, reserving the whole run of slots with a

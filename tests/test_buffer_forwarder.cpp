@@ -1,6 +1,13 @@
 // Unit tests for the egress buffer and forwarder (paper §5): hold/release
-// semantics, commit absorption, feedback, propagating packets.
+// semantics, commit absorption, feedback records, the forwarder's splice
+// (checked against the materializing merge it replaced), spills and
+// propagating packets.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "core/buffer.hpp"
 #include "core/forwarder.hpp"
@@ -9,10 +16,36 @@
 namespace sfc::ftc {
 namespace {
 
+constexpr std::size_t kParts = 16;
+
+/// Pops the oldest feedback record and reads it back as a message.
+std::optional<PiggybackMessage> pop_message(FeedbackChannel& ch,
+                                            pkt::PacketPool& pool) {
+  std::optional<PiggybackMessage> out;
+  ch.pop_with([&](const FeedbackRecord& r) {
+    if (r.carrier != nullptr) {
+      out = extract_message(*r.carrier);
+      pool.free_raw(r.carrier);
+      return;
+    }
+    pkt::Packet p;
+    pkt::PacketBuilder(p).udp(
+        pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+    if (PiggybackView::attach(p, r.message()).ok()) out = extract_message(p);
+  });
+  return out;
+}
+
+/// The message a packet carries, empty when it carries none.
+PiggybackMessage message_of(pkt::Packet& p) {
+  auto msg = extract_message(p);
+  return msg ? std::move(*msg) : PiggybackMessage{};
+}
+
 struct Rig {
   pkt::PacketPool pool{64};
   net::Link egress{pool, net::LinkConfig{}};
-  FeedbackChannel feedback;
+  FeedbackChannel feedback{pool, kParts};
   EgressBuffer buffer{pool, egress, feedback};
 
   pkt::Packet* data_packet(std::uint64_t id) {
@@ -117,10 +150,34 @@ TEST(EgressBuffer, FeedsLogsBackWithoutCommits) {
   msg.set_commit(0, commit);
   rig.buffer.submit(rig.data_packet(1), std::move(msg));
 
-  auto fed_back = rig.feedback.pop();
+  auto fed_back = pop_message(rig.feedback, rig.pool);
   ASSERT_TRUE(fed_back.has_value());
   EXPECT_EQ(fed_back->logs.size(), 1u);   // Wrap logs keep traveling.
   EXPECT_TRUE(fed_back->commits.empty()); // Commits end at the buffer.
+}
+
+TEST(EgressBuffer, SubmitWireFeedsBackLogBytesWithoutCommits) {
+  Rig rig;
+  PiggybackMessage msg;
+  PiggybackLog log = rig.log_for(2, 0, 1);
+  log.writes.push_back({5, state::Bytes::of(std::uint64_t{42}), false});
+  msg.logs.push_back(log);
+  MaxVector commit;
+  commit.seq[1] = 9;
+  msg.set_commit(0, commit);
+  pkt::Packet* p = rig.data_packet(1);
+  const std::size_t bare = p->size();
+  ASSERT_TRUE(append_message(*p, msg, kParts));
+  PiggybackView v = PiggybackView::open(*p);
+  rig.buffer.submit_wire(p, v);
+  EXPECT_EQ(p->size(), bare);  // Held bare.
+  EXPECT_EQ(rig.buffer.held_count(), 1u);
+
+  auto fed_back = pop_message(rig.feedback, rig.pool);
+  ASSERT_TRUE(fed_back.has_value());
+  ASSERT_EQ(fed_back->logs.size(), 1u);
+  EXPECT_EQ(fed_back->logs[0], log);
+  EXPECT_TRUE(fed_back->commits.empty());
 }
 
 TEST(EgressBuffer, AbsorbWithoutSubmit) {
@@ -138,10 +195,11 @@ TEST(EgressBuffer, AbsorbWithoutSubmit) {
   EXPECT_EQ(rig.buffer.held_count(), 0u);
 }
 
-TEST(Forwarder, CollectMergesPendingMessages) {
+TEST(Forwarder, SpliceMergesPendingRecords) {
   ChainConfig cfg;
-  FeedbackChannel feedback;
-  Forwarder fwd(feedback, cfg);
+  pkt::PacketPool pool(8);
+  FeedbackChannel feedback(pool, cfg.num_partitions);
+  Forwarder fwd(feedback, cfg, pool);
 
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
     PiggybackMessage m;
@@ -150,9 +208,17 @@ TEST(Forwarder, CollectMergesPendingMessages) {
     log.dep.mask = 1;
     log.dep.seq[0] = seq;
     m.logs.push_back(log);
-    feedback.push(std::move(m));
+    feedback.push(m);
   }
-  auto merged = fwd.collect();
+  pkt::Packet p;
+  pkt::PacketBuilder(p).udp(
+      pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+  PiggybackView view;
+  pkt::Packet* extra[2];
+  EXPECT_EQ(fwd.splice(p, view, extra), 0u);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view.log_count(), 3u);
+  auto merged = message_of(p);
   EXPECT_EQ(merged.logs.size(), 3u);
   EXPECT_EQ(merged.logs[0].dep.seq[0], 1u);  // Order preserved.
   EXPECT_EQ(merged.logs[2].dep.seq[0], 3u);
@@ -161,18 +227,25 @@ TEST(Forwarder, CollectMergesPendingMessages) {
 TEST(Forwarder, MergeLimitBoundsPerPacketWork) {
   ChainConfig cfg;
   cfg.forwarder_merge_limit = 2;
-  FeedbackChannel feedback;
-  Forwarder fwd(feedback, cfg);
+  pkt::PacketPool pool(8);
+  FeedbackChannel feedback(pool, cfg.num_partitions);
+  Forwarder fwd(feedback, cfg, pool);
   for (int i = 0; i < 5; ++i) feedback.push(PiggybackMessage{});
-  (void)fwd.collect();
+  pkt::Packet p;
+  pkt::PacketBuilder(p).udp(
+      pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+  PiggybackView view;
+  pkt::Packet* extra[2];
+  (void)fwd.splice(p, view, extra);
   EXPECT_EQ(feedback.pending_approx(), 3u);
 }
 
 TEST(Forwarder, PropagationDueOnlyWhenIdleAndPending) {
   ChainConfig cfg;
   cfg.propagate_interval_ns = 1'000'000;  // 1 ms.
-  FeedbackChannel feedback;
-  Forwarder fwd(feedback, cfg);
+  pkt::PacketPool pool(8);
+  FeedbackChannel feedback(pool, cfg.num_partitions);
+  Forwarder fwd(feedback, cfg, pool);
   EXPECT_FALSE(fwd.propagation_due());  // Nothing pending.
   feedback.push(PiggybackMessage{});
   EXPECT_FALSE(fwd.propagation_due());  // Pending but not idle yet.
@@ -189,6 +262,172 @@ TEST(Forwarder, PropagatingPacketIsControlAndParseable) {
   EXPECT_TRUE(p->anno().is_control);
   EXPECT_TRUE(pkt::parse_packet(*p).has_value());
   pool.free_raw(p);
+}
+
+TEST(Forwarder, OversizeRecordSpillsOntoACarrier) {
+  ChainConfig cfg;
+  pkt::PacketPool pool(8);
+  FeedbackChannel feedback(pool, cfg.num_partitions);
+  Forwarder fwd(feedback, cfg, pool);
+  PiggybackMessage small;
+  small.logs.push_back(PiggybackLog{1, {}, {}});
+  PiggybackMessage big;
+  PiggybackLog log{2, {}, {}};
+  std::vector<std::uint8_t> value(FeedbackRecord::kCapacity);
+  log.writes.push_back({9, state::Bytes(value.data(), value.size()), false});
+  big.logs.push_back(log);
+  feedback.push(small);
+  feedback.push(big);
+  feedback.push(small);
+
+  pkt::Packet p;
+  pkt::PacketBuilder(p).udp(
+      pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+  PiggybackView view;
+  pkt::Packet* extra[2];
+  // The spill stops the splice: it runs next, the record after it waits.
+  ASSERT_EQ(fwd.splice(p, view, extra), 1u);
+  EXPECT_EQ(fwd.spills(), 1u);
+  EXPECT_EQ(feedback.pending_approx(), 1u);
+  EXPECT_TRUE(extra[0]->anno().is_control);
+  EXPECT_EQ(message_of(p), small);
+  EXPECT_EQ(message_of(*extra[0]), big);
+  pool.free_raw(extra[0]);
+}
+
+TEST(Forwarder, ShortTailroomFallsBackToAPropagatingPacket) {
+  ChainConfig cfg;
+  pkt::PacketPool pool(8);
+  FeedbackChannel feedback(pool, cfg.num_partitions);
+  Forwarder fwd(feedback, cfg, pool);
+  PiggybackMessage msg;
+  msg.logs.push_back(PiggybackLog{1, {}, {}});
+  feedback.push(msg);
+
+  pkt::Packet jumbo;
+  pkt::PacketBuilder(jumbo).udp(
+      pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+  jumbo.push_back(jumbo.tailroom() - Forwarder::kSpliceRoom + 1);
+  const std::size_t size = jumbo.size();
+  PiggybackView view;
+  pkt::Packet* extra[2];
+  ASSERT_EQ(fwd.splice(jumbo, view, extra), 1u);
+  EXPECT_FALSE(view.ok());
+  EXPECT_EQ(jumbo.size(), size);  // Untouched.
+  EXPECT_EQ(fwd.tailroom_fallbacks(), 1u);
+  EXPECT_EQ(message_of(*extra[0]), msg);
+  pool.free_raw(extra[0]);
+}
+
+// Differential: splicing records onto bare packets gives, per packet, the
+// message the materializing path built (pop up to the merge limit,
+// PiggybackMessage::merge, append_message), read back with extract_message.
+// Covers 0-8 records per packet, commit vectors of overlapping middleboxes,
+// records too large for a slot (spills) and packets whose tailroom cannot
+// take a record (fallbacks).
+TEST(Forwarder, SpliceMatchesMaterializingMerge) {
+  std::mt19937_64 rng(0x5eed5);
+  ChainConfig cfg;
+  cfg.num_partitions = 8;
+  pkt::PacketPool pool(16);
+  FeedbackChannel feedback(pool, cfg.num_partitions);
+  Forwarder fwd(feedback, cfg, pool);
+  const auto random_message = [&] {
+    PiggybackMessage m;
+    const std::size_t n_logs = rng() % 4;
+    for (std::size_t i = 0; i < n_logs; ++i) {
+      PiggybackLog log;
+      log.mbox = static_cast<MboxId>(rng() % 3);
+      const std::size_t part = rng() % cfg.num_partitions;
+      log.dep.mask = 1ULL << part;
+      log.dep.seq[part] = rng() % 100 + 1;
+      std::vector<std::uint8_t> value(rng() % 4 == 0 ? 200 : rng() % 24);
+      for (auto& b : value) b = static_cast<std::uint8_t>(rng());
+      log.writes.push_back({rng() % 64, state::Bytes(value.data(), value.size()),
+                            rng() % 5 == 0});
+      m.logs.push_back(std::move(log));
+    }
+    const std::size_t n_commits = rng() % 3;
+    for (std::size_t i = 0; i < n_commits; ++i) {
+      MaxVector max;
+      for (std::size_t part = 0; part < cfg.num_partitions; ++part) {
+        max.seq[part] = rng() % 50;
+      }
+      m.set_commit(static_cast<MboxId>(rng() % 3), max);
+    }
+    return m;
+  };
+  const auto fits_slot = [&](const PiggybackMessage& m) {
+    return serialized_size(m, cfg.num_partitions) <= FeedbackRecord::kCapacity;
+  };
+
+  std::size_t spills = 0, fallbacks = 0, merged_packets = 0;
+  for (int round = 0; round < 400; ++round) {
+    cfg.forwarder_merge_limit = 1 + rng() % 8;
+    std::vector<PiggybackMessage> pushed;
+    const std::size_t n = rng() % 9;
+    for (std::size_t i = 0; i < n; ++i) {
+      pushed.push_back(random_message());
+      feedback.push(pushed.back());
+    }
+    std::size_t next = 0;
+    while (next < pushed.size()) {
+      pkt::Packet p;
+      pkt::PacketBuilder(p).udp(
+          pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+      const bool jumbo = rng() % 8 == 0;
+      if (jumbo) p.push_back(p.tailroom() - Forwarder::kSpliceRoom + 1);
+      const std::size_t bare = p.size();
+      PiggybackView view;
+      pkt::Packet* extra[2];
+      const std::size_t n_extra = fwd.splice(p, view, extra);
+
+      // Oracle: the materializing forwarder's grouping and merge.
+      std::vector<PiggybackMessage> expected;  // One per packet, in order.
+      PiggybackMessage merged;
+      std::size_t taken = 0;
+      bool spill = false;
+      while (taken < cfg.forwarder_merge_limit && next < pushed.size()) {
+        PiggybackMessage m = pushed[next++];
+        ++taken;
+        if (!fits_slot(m)) {
+          spill = true;
+          expected.push_back(std::move(merged));
+          expected.push_back(std::move(m));
+          break;
+        }
+        merged.merge(std::move(m));
+      }
+      if (!spill) expected.push_back(std::move(merged));
+
+      std::vector<PiggybackMessage> got;
+      if (jumbo) {
+        EXPECT_EQ(p.size(), bare);
+        EXPECT_FALSE(view.ok());
+        ASSERT_GE(n_extra, 1u);
+        ++fallbacks;
+      } else {
+        got.push_back(message_of(p));
+      }
+      for (std::size_t e = 0; e < n_extra; ++e) {
+        got.push_back(message_of(*extra[e]));
+        pool.free_raw(extra[e]);
+      }
+      if (spill) ++spills;
+      if (taken > 1) ++merged_packets;
+      ASSERT_EQ(got.size(), expected.size()) << "round " << round;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k], expected[k]) << "round " << round << " packet " << k;
+      }
+    }
+    ASSERT_EQ(feedback.pending_approx(), 0u);
+  }
+  EXPECT_EQ(fwd.spills(), spills);
+  EXPECT_EQ(fwd.tailroom_fallbacks(), fallbacks);
+  // The sequence exercised every case.
+  EXPECT_GT(spills, 10u);
+  EXPECT_GT(fallbacks, 10u);
+  EXPECT_GT(merged_packets, 50u);
 }
 
 }  // namespace

@@ -214,6 +214,54 @@ TEST(PiggybackView, SetCommitAndAppendRejectedWhenTailroomExhausted) {
   EXPECT_EQ(materialize_log(v.log(0)), log);
 }
 
+TEST(PiggybackView, MergeRejectsWithoutTouchingThePacket) {
+  pkt::Packet p = make_wire_packet();
+  PiggybackMessage base;
+  base.logs.push_back(PiggybackLog{1, {}, {}});
+  MaxVector max;
+  max.seq[0] = 3;
+  base.set_commit(1, max);
+  ASSERT_TRUE(append_message(p, base, kParts));
+  PiggybackView v = PiggybackView::open(p);
+  ASSERT_TRUE(v.ok());
+  const auto before = packet_bytes(p);
+
+  const auto serialized = [](const PiggybackMessage& m, std::size_t parts) {
+    std::vector<std::uint8_t> out(serialized_size(m, parts));
+    serialize_message(m, parts, out.data());
+    return out;
+  };
+  PiggybackMessage other;
+  other.logs.push_back(PiggybackLog{2, {}, {}});
+  other.set_commit(2, max);
+  // Commit vectors of another width.
+  EXPECT_FALSE(v.merge(serialized(other, kParts + 1)));
+  // Truncated and corrupted bytes.
+  auto bytes = serialized(other, kParts);
+  EXPECT_FALSE(v.merge({bytes.data(), bytes.size() - 1}));
+  bytes[bytes.size() - 1] ^= 0xff;
+  EXPECT_FALSE(v.merge(bytes));
+  // More than the tailroom holds.
+  PiggybackMessage huge;
+  PiggybackLog log{3, {}, {}};
+  std::vector<std::uint8_t> value(p.tailroom(), 0xab);
+  log.writes.push_back({1, state::Bytes(value.data(), value.size()), false});
+  huge.logs.push_back(log);
+  EXPECT_FALSE(v.merge(serialized(huge, kParts)));
+  EXPECT_EQ(packet_bytes(p), before);
+
+  // A valid merge: logs appended in order, commits merged componentwise.
+  MaxVector higher;
+  higher.seq[1] = 7;
+  other.set_commit(1, higher);
+  ASSERT_TRUE(v.merge(serialized(other, kParts)));
+  EXPECT_EQ(v.log_count(), 2u);
+  base.merge(std::move(other));
+  auto got = extract_message(p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, base);
+}
+
 // Replica apply differential: the burst wire path must leave the store,
 // the MAX vector and the applied count exactly as per-log offers do.
 TEST(PiggybackView, OfferBurstMatchesOffer) {

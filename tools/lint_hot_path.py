@@ -50,6 +50,8 @@ DEFAULT_ROOTS = [
     "FtcNode::worker_body",       # kPoll/kViewWalk/.../kParkDrain owner
     "FtcNode::process_view",      # kProcess/kAppend (zero-copy path)
     "FtcNode::apply_logs_burst",  # kLogApply/kTailCommit
+    "Forwarder::splice",          # chain-ingress feedback splice (kViewWalk)
+    "FeedbackChannel::push_logs",  # egress feedback hand-off (kAppend)
     "Link::send_burst",           # kLinkSend
     "Link::poll_burst",           # kLinkPoll
     "ReliableChannel::send_burst",
