@@ -97,6 +97,10 @@ void ChainRuntime::build_ftc() {
   registry_.gauge_fn("forwarder.tailroom_fallbacks", {{"node", "fwd"}}, [this] {
     return static_cast<double>(forwarder_->tailroom_fallbacks());
   });
+  // Single logs larger than any propagating packet holds: not fed back.
+  registry_.gauge_fn("forwarder.oversize_drops", {{"node", "fwd"}}, [this] {
+    return static_cast<double>(feedback_->oversize_drops());
+  });
 
   ftc_at_ = std::vector<std::atomic<FtcNode*>>(ring_size_);
   for (std::uint32_t i = 0; i < ring_size_; ++i) {

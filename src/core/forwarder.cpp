@@ -1,5 +1,6 @@
 #include "core/forwarder.hpp"
 
+#include <algorithm>
 #include <thread>
 
 namespace sfc::ftc {
@@ -11,10 +12,29 @@ FeedbackChannel::~FeedbackChannel() {
   }
 }
 
+template <typename Size, typename Write>
+void FeedbackChannel::push_split(std::size_t n, Size&& size, Write&& write) {
+  std::size_t first = 0;
+  do {
+    std::size_t last = n;
+    if (SFC_UNLIKELY(size(first, last) > kPropagatingRoom)) {
+      last = first + 1;
+      while (last < n && size(first, last + 1) <= kPropagatingRoom) ++last;
+    }
+    push_message(size(first, last),
+                 [&](std::uint8_t* out) { write(first, last, out); });
+    first = last;
+  } while (first < n);
+}
+
 template <typename Write>
 void FeedbackChannel::push_message(std::size_t size, Write&& write) {
   pkt::Packet* carrier = nullptr;
   if (SFC_UNLIKELY(size > FeedbackRecord::kCapacity)) {
+    if (size > kPropagatingRoom) {
+      oversize_drops_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
     while ((carrier = Forwarder::make_propagating_packet(pool_)) == nullptr) {
       std::this_thread::yield();
     }
@@ -29,15 +49,40 @@ void FeedbackChannel::push_message(std::size_t size, Write&& write) {
 }
 
 void FeedbackChannel::push_logs(const PiggybackView& v) {
-  push_message(v.logs_message_size(),
-               [&v](std::uint8_t* out) { v.copy_logs(out); });
+  push_split(
+      v.log_count(),
+      [&v](std::size_t first, std::size_t last) {
+        return v.logs_message_size(first, last);
+      },
+      [&v](std::size_t first, std::size_t last, std::uint8_t* out) {
+        v.copy_logs(first, last, out);
+      });
 }
 
 void FeedbackChannel::push(const PiggybackMessage& msg) {
-  push_message(serialized_size(msg, num_partitions_),
-               [this, &msg](std::uint8_t* out) {
-                 serialize_message(msg, num_partitions_, out);
-               });
+  // Parts: each log, then the commit vectors as one block, which travels
+  // with the last logs.
+  const std::span<const PiggybackLog> logs{msg.logs.data(), msg.logs.size()};
+  const std::span<const CommitVector> commits{msg.commits.data(),
+                                              msg.commits.size()};
+  const auto logs_of = [logs](std::size_t first, std::size_t last) {
+    last = std::min(last, logs.size());
+    first = std::min(first, last);
+    return logs.subspan(first, last - first);
+  };
+  const auto commits_of = [logs, commits](std::size_t last) {
+    return last > logs.size() ? commits : std::span<const CommitVector>{};
+  };
+  push_split(
+      logs.size() + (commits.empty() ? 0 : 1),
+      [&](std::size_t first, std::size_t last) {
+        return serialized_size(logs_of(first, last), commits_of(last),
+                               num_partitions_);
+      },
+      [&](std::size_t first, std::size_t last, std::uint8_t* out) {
+        serialize_message(logs_of(first, last), commits_of(last),
+                          num_partitions_, out);
+      });
 }
 
 std::size_t Forwarder::splice(pkt::Packet& p, PiggybackView& view,

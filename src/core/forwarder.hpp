@@ -22,6 +22,13 @@
 
 namespace sfc::ftc {
 
+/// Frame length of a propagating packet, and the piggyback message bytes
+/// its tailroom holds.
+inline constexpr std::size_t kPropagatingFrame = 64;
+inline constexpr std::size_t kPropagatingRoom = pkt::Packet::kCapacity -
+                                                pkt::Packet::kDefaultHeadroom -
+                                                kPropagatingFrame;
+
 /// One buffer->forwarder hand-off: a serialized piggyback message (header
 /// through footer, exactly as it will sit on the ingress packet) in a
 /// fixed-size, allocation-free slot. A message larger than the slot spills:
@@ -60,6 +67,13 @@ class FeedbackChannel : rt::NonCopyable {
   /// Feeds back @p msg as it is (the materializing submit path).
   void push(const PiggybackMessage& msg);
 
+  /// Logs dropped because no packet could carry them: a single log larger
+  /// than a propagating packet's tailroom (the paper's answer is jumbo
+  /// frames).
+  std::uint64_t oversize_drops() const noexcept {
+    return oversize_drops_.load(std::memory_order_relaxed);
+  }
+
   /// Runs fn(const FeedbackRecord&) on the oldest record, in its slot.
   /// Returns false when nothing is pending.
   template <typename Fn>
@@ -71,15 +85,25 @@ class FeedbackChannel : rt::NonCopyable {
   std::size_t pending_approx() const noexcept { return queue_.size_approx(); }
 
  private:
+  /// Hands off a message of @p n parts (logs, in order) that
+  /// size(first, last) measures and write(first, last, out) serializes for
+  /// parts [first, last). A message larger than a propagating packet holds
+  /// is split into several, each the longest run of parts that fits, so
+  /// every record stays a complete message and feedback order is kept.
+  template <typename Size, typename Write>
+  void push_split(std::size_t n, Size&& size, Write&& write);
+
   /// Hands off a @p size-byte message that write(std::uint8_t*) serializes:
   /// into a slot, or onto a spill carrier when it exceeds one. The channel
-  /// must not lose state: a full queue or an empty pool is waited out.
+  /// must not lose state: a full queue or an empty pool is waited out. A
+  /// message larger than a carrier's tailroom is counted and dropped.
   template <typename Write>
   void push_message(std::size_t size, Write&& write);
 
   pkt::PacketPool& pool_;
   const std::size_t num_partitions_;
   rt::MpmcQueue<FeedbackRecord> queue_;
+  std::atomic<std::uint64_t> oversize_drops_{0};
 };
 
 class Forwarder : rt::NonCopyable {
@@ -132,7 +156,7 @@ class Forwarder : rt::NonCopyable {
     if (p == nullptr) return nullptr;
     pkt::FlowKey ctrl{0x7f000001, 0x7f000002, 9999, 9999,
                       pkt::Ipv4Header::kProtoUdp};
-    pkt::PacketBuilder(*p).udp(ctrl, 64);
+    pkt::PacketBuilder(*p).udp(ctrl, kPropagatingFrame);
     p->anno().is_control = true;
     return p;
   }

@@ -541,6 +541,7 @@ std::size_t FtcNode::splice_feedback(pkt::Packet** rx, std::size_t got,
       span_event(registry_, obs::span_site_node(id_), p->anno().trace_id,
                  obs::SpanKind::kNodeIngress, position_);
     }
+    const std::size_t at = n;
     ws.pkts[n] = p;
     ViewWork& w = ws.vw[n++];
     w.held_at = kNoHeldLog;
@@ -552,16 +553,25 @@ std::size_t FtcNode::splice_feedback(pkt::Packet** rx, std::size_t got,
     } else {
       w.view = PiggybackView{};
     }
-    if (!p->anno().is_control) {
-      // Head-ingress distributions (the paper's state-size axis): what
-      // this message occupies on the wire, and how many logs ride along.
-      ws.pb_bytes.record(w.view.ok() ? w.view.tail_size()
-                                     : kWireHeaderSize + kFooterSize);
-      ws.pb_logs.record(w.view.log_count());
-    }
     for (std::size_t e = 0; e < extra; ++e, ++n) {
       ws.vw[n].view = PiggybackView::open(*ws.pkts[n]);
       ws.vw[n].held_at = kNoHeldLog;
+    }
+    if (!p->anno().is_control) {
+      // Head-ingress distributions (the paper's state-size axis): the
+      // message spliced for this packet — on it, or on the propagating
+      // packets its records took — as one message on the wire, and how
+      // many logs ride along.
+      std::size_t bytes = kWireHeaderSize + kFooterSize;
+      std::size_t logs = 0;
+      for (std::size_t k = at; k < n; ++k) {
+        const PiggybackView& v = ws.vw[k].view;
+        if (!v.ok()) continue;
+        bytes += v.tail_size() - (kWireHeaderSize + kFooterSize);
+        logs += v.log_count();
+      }
+      ws.pb_bytes.record(bytes);
+      ws.pb_logs.record(logs);
     }
   }
   forwarder_->note_activity();

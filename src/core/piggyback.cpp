@@ -130,23 +130,39 @@ void PiggybackMessage::merge(PiggybackMessage&& other) {
 
 std::size_t serialized_size(const PiggybackMessage& msg,
                             std::size_t num_partitions) noexcept {
-  std::size_t n = 8;  // Header.
-  for (const auto& log : msg.logs) n += log_size(log);
-  n += msg.commits.size() * (4 + 8 * num_partitions);
-  return n + kFooterSize;
+  return serialized_size({msg.logs.data(), msg.logs.size()},
+                         {msg.commits.data(), msg.commits.size()},
+                         num_partitions);
 }
 
 void serialize_message(const PiggybackMessage& msg, std::size_t num_partitions,
                        std::uint8_t* out) noexcept {
-  const std::size_t total = serialized_size(msg, num_partitions);
+  serialize_message({msg.logs.data(), msg.logs.size()},
+                    {msg.commits.data(), msg.commits.size()}, num_partitions,
+                    out);
+}
+
+std::size_t serialized_size(std::span<const PiggybackLog> logs,
+                            std::span<const CommitVector> commits,
+                            std::size_t num_partitions) noexcept {
+  std::size_t n = 8;  // Header.
+  for (const auto& log : logs) n += log_size(log);
+  n += commits.size() * (4 + 8 * num_partitions);
+  return n + kFooterSize;
+}
+
+void serialize_message(std::span<const PiggybackLog> logs,
+                       std::span<const CommitVector> commits,
+                       std::size_t num_partitions, std::uint8_t* out) noexcept {
+  const std::size_t total = serialized_size(logs, commits, num_partitions);
   Writer w(out);
-  w.pod<std::uint16_t>(static_cast<std::uint16_t>(msg.logs.size()));
-  w.pod<std::uint16_t>(static_cast<std::uint16_t>(msg.commits.size()));
+  w.pod<std::uint16_t>(static_cast<std::uint16_t>(logs.size()));
+  w.pod<std::uint16_t>(static_cast<std::uint16_t>(commits.size()));
   w.pod<std::uint16_t>(static_cast<std::uint16_t>(num_partitions));
   w.pod<std::uint16_t>(0);
 
-  for (const auto& log : msg.logs) write_log(w, log);
-  for (const auto& c : msg.commits) {
+  for (const auto& log : logs) write_log(w, log);
+  for (const auto& c : commits) {
     w.pod<std::uint32_t>(c.mbox);
     for (std::size_t i = 0; i < num_partitions; ++i) {
       w.pod<std::uint64_t>(c.max.seq[i]);
@@ -537,12 +553,20 @@ bool PiggybackView::merge(std::span<const std::uint8_t> msg) {
   return true;
 }
 
-void PiggybackView::copy_logs(std::uint8_t* out) const noexcept {
-  std::memcpy(out, body(), logs_end_);  // Header + log region.
+void PiggybackView::copy_logs(std::size_t first, std::size_t last,
+                              std::uint8_t* out) const noexcept {
+  const std::uint32_t begin = log_start(first);
+  const auto body_len = static_cast<std::uint32_t>(
+      kWireHeaderSize + log_start(last) - begin);
+  std::memcpy(out, body(), kWireHeaderSize);  // num_partitions, reserved.
+  const auto log_count = static_cast<std::uint16_t>(last - first);
   const std::uint16_t no_commits = 0;
+  std::memcpy(out, &log_count, 2);
   std::memcpy(out + 2, &no_commits, 2);
-  std::memcpy(out + logs_end_, &logs_end_, 4);
-  std::memcpy(out + logs_end_ + 4, &kFooterMagic, 4);
+  std::memcpy(out + kWireHeaderSize, body() + begin,
+              body_len - kWireHeaderSize);
+  std::memcpy(out + body_len, &body_len, 4);
+  std::memcpy(out + body_len + 4, &kFooterMagic, 4);
 }
 
 bool PiggybackView::append_log(const PiggybackLog& log) {

@@ -97,6 +97,16 @@ std::size_t serialized_size(const PiggybackMessage& msg,
 void serialize_message(const PiggybackMessage& msg, std::size_t num_partitions,
                        std::uint8_t* out) noexcept;
 
+/// serialized_size() and serialize_message() for the message holding
+/// @p logs and @p commits — parts of a larger message, which the feedback
+/// channel splits when no packet could carry it whole.
+std::size_t serialized_size(std::span<const PiggybackLog> logs,
+                            std::span<const CommitVector> commits,
+                            std::size_t num_partitions) noexcept;
+void serialize_message(std::span<const PiggybackLog> logs,
+                       std::span<const CommitVector> commits,
+                       std::size_t num_partitions, std::uint8_t* out) noexcept;
+
 /// Appends @p msg to the packet's tail. Returns false (packet untouched)
 /// if the tailroom cannot hold it — the caller treats this as the
 /// "piggyback message too large for the frame" condition the paper
@@ -222,15 +232,18 @@ class PiggybackView {
   /// or does not fit the tailroom.
   bool merge(std::span<const std::uint8_t> msg);
 
-  /// Size of this message with its commit vectors dropped (what
-  /// copy_logs() writes).
-  std::size_t logs_message_size() const noexcept {
-    return logs_end_ + kFooterSize;
+  /// Size of the message holding logs [first, last) of this one and no
+  /// commit vectors (what copy_logs(first, last, out) writes).
+  std::size_t logs_message_size(std::size_t first,
+                                std::size_t last) const noexcept {
+    return kWireHeaderSize + log_start(last) - log_start(first) + kFooterSize;
   }
 
-  /// Writes this message without its commit vectors — header, the raw log
-  /// region, footer — to @p out, which must hold logs_message_size() bytes.
-  void copy_logs(std::uint8_t* out) const noexcept;
+  /// Writes the message holding logs [first, last) of this one and no
+  /// commit vectors — header, their raw log records, footer — to @p out,
+  /// which must hold logs_message_size(first, last) bytes.
+  void copy_logs(std::size_t first, std::size_t last,
+                 std::uint8_t* out) const noexcept;
 
   /// Removes every log of @p mbox with one compacting pass over the log
   /// region; logs that stay are moved at most once and a message without
@@ -245,6 +258,10 @@ class PiggybackView {
   std::uint8_t* body() const noexcept { return p_->data() + body_off_; }
   std::size_t commit_entry_size() const noexcept {
     return 4 + 8 * static_cast<std::size_t>(num_partitions_);
+  }
+  /// Body offset of log @p i, or of the commit region for i == log_count().
+  std::uint32_t log_start(std::size_t i) const noexcept {
+    return i < log_off_.size() ? log_off_[i] : logs_end_;
   }
   /// Rewrites the header counts and the (possibly moved) footer.
   void sync_header_footer() noexcept;

@@ -24,6 +24,9 @@ std::optional<PiggybackMessage> pop_message(FeedbackChannel& ch,
   std::optional<PiggybackMessage> out;
   ch.pop_with([&](const FeedbackRecord& r) {
     if (r.carrier != nullptr) {
+      // The message was written inside the carrier's buffer.
+      EXPECT_LE(r.carrier->headroom() + r.carrier->size(),
+                pkt::Packet::kCapacity);
       out = extract_message(*r.carrier);
       pool.free_raw(r.carrier);
       return;
@@ -178,6 +181,87 @@ TEST(EgressBuffer, SubmitWireFeedsBackLogBytesWithoutCommits) {
   ASSERT_EQ(fed_back->logs.size(), 1u);
   EXPECT_EQ(fed_back->logs[0], log);
   EXPECT_TRUE(fed_back->commits.empty());
+}
+
+/// Pops every pending record and merges them, in order, into one message.
+PiggybackMessage pop_all(FeedbackChannel& ch, pkt::PacketPool& pool,
+                         std::size_t& records) {
+  PiggybackMessage all;
+  records = 0;
+  while (auto part = pop_message(ch, pool)) {
+    all.merge(std::move(*part));
+    ++records;
+  }
+  return all;
+}
+
+PiggybackLog log_with_value(MboxId mbox, std::uint64_t key, std::size_t len) {
+  PiggybackLog log{mbox, {}, {}};
+  log.dep.mask = 1;
+  log.dep.seq[0] = key;
+  std::vector<std::uint8_t> value(len, static_cast<std::uint8_t>(key));
+  log.writes.push_back({key, state::Bytes(value.data(), value.size()), false});
+  return log;
+}
+
+// The egress node's fallback hands the buffer a data packet's whole message
+// plus its own log, which can exceed what any packet carries. It is split
+// by logs into complete messages, each inside a carrier's tailroom, that
+// read back in order as the original.
+TEST(EgressBuffer, OversizeFeedbackSplitsAcrossCarriers) {
+  Rig rig;
+  PiggybackMessage msg;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    msg.logs.push_back(log_with_value(2, i + 1, 1000));  // 1,032 wire bytes.
+  }
+  ASSERT_GT(serialized_size(msg, kParts), kPropagatingRoom);
+  const PiggybackMessage sent = msg;
+  rig.buffer.submit(rig.data_packet(1), std::move(msg));
+
+  std::size_t records = 0;
+  EXPECT_EQ(pop_all(rig.feedback, rig.pool, records), sent);
+  EXPECT_EQ(records, 4u);  // Three logs per carrier.
+  EXPECT_EQ(rig.feedback.oversize_drops(), 0u);
+}
+
+// Same on the zero-copy path: a frame shorter than a propagating packet's
+// leaves room for a message no carrier holds whole.
+TEST(EgressBuffer, OversizeWireFeedbackSplitsAcrossCarriers) {
+  Rig rig;
+  PiggybackMessage msg;
+  msg.logs.push_back(log_with_value(2, 1, 1920));
+  msg.logs.push_back(log_with_value(2, 2, 1920));
+  pkt::Packet* p = rig.pool.alloc_raw();
+  pkt::PacketBuilder(*p).udp(
+      pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 42);
+  ASSERT_TRUE(append_message(*p, msg, kParts));
+  PiggybackView v = PiggybackView::open(*p);
+  ASSERT_GT(v.logs_message_size(0, v.log_count()), kPropagatingRoom);
+  rig.buffer.submit_wire(p, v);
+
+  std::size_t records = 0;
+  EXPECT_EQ(pop_all(rig.feedback, rig.pool, records), msg);
+  EXPECT_EQ(records, 2u);
+}
+
+// A single log larger than a propagating packet's tailroom cannot be fed
+// back: it is counted and dropped, the logs around it still travel.
+TEST(FeedbackChannel, LogLargerThanAnyPacketIsCountedAndDropped) {
+  pkt::PacketPool pool(8);
+  FeedbackChannel feedback(pool, kParts);
+  PiggybackMessage msg;
+  msg.logs.push_back(log_with_value(1, 1, 8));
+  msg.logs.push_back(log_with_value(1, 2, kPropagatingRoom));
+  msg.logs.push_back(log_with_value(1, 3, 8));
+  feedback.push(msg);
+
+  PiggybackMessage expected;
+  expected.logs.push_back(msg.logs[0]);
+  expected.logs.push_back(msg.logs[2]);
+  std::size_t records = 0;
+  EXPECT_EQ(pop_all(feedback, pool, records), expected);
+  EXPECT_EQ(records, 2u);
+  EXPECT_EQ(feedback.oversize_drops(), 1u);
 }
 
 TEST(EgressBuffer, AbsorbWithoutSubmit) {

@@ -167,6 +167,28 @@ TEST(FtcChain, LossFreeIngressSplicesWithoutSpillOrFallback) {
   chain.stop();
 }
 
+// Ingress packets too large to take a record hand their records to
+// propagating packets; the head-ingress histograms still count the logs
+// spliced for each of them.
+TEST(FtcChain, TailroomFallbacksStillRecordSplicedLogs) {
+  ChainRuntime chain(spec_for(ChainMode::kFtc, 2));
+  chain.start();
+  tgen::Workload w;
+  w.frame_len = pkt::Packet::kCapacity - pkt::Packet::kDefaultHeadroom -
+                Forwarder::kSpliceRoom + 1;
+  pump_and_wait(chain, 1000, w);
+  wait_for_convergence(chain, 5'000'000'000ull);
+  EXPECT_GT(chain.forwarder()->tailroom_fallbacks(), 0u);
+  double logs = 0;
+  for (const auto& s : chain.registry().snapshot()) {
+    if (s.name == "piggyback.logs_per_packet") {
+      logs += s.hist.mean() * static_cast<double>(s.hist.count());
+    }
+  }
+  EXPECT_GT(logs, 0.0);
+  chain.stop();
+}
+
 TEST(FtcChain, IdleChainReadsQuiescentOnEveryCall) {
   ChainRuntime chain(spec_for(ChainMode::kFtc, 2));
   chain.start();
