@@ -226,7 +226,9 @@ BENCHMARK(BM_PiggybackViewWalk)->ArgsProduct({{1, 2, 4, 8}, {8, 64, 256}});
 
 void BM_ApplierOffer(benchmark::State& state) {
   ftc::ChainConfig cfg;
-  ftc::InOrderApplier applier(0, cfg);
+  // A group's tail (every replica at f = 1) keeps no history; one that
+  // does would fill up here, with no commit to prune it.
+  ftc::InOrderApplier applier(0, cfg, /*keeps_history=*/false);
   std::uint64_t seq = 0;
   ftc::PiggybackLog log;
   log.mbox = 0;

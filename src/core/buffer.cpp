@@ -1,6 +1,7 @@
 #include "core/buffer.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/span.hpp"
 #include "runtime/clock.hpp"
@@ -19,8 +20,14 @@ inline void span_event(obs::Registry* reg, std::uint64_t trace_id,
 }  // namespace
 
 EgressBuffer::EgressBuffer(pkt::PacketPool& pool, net::Port& egress,
-                           FeedbackChannel& feedback, obs::Registry* registry)
-    : pool_(pool), egress_(egress), feedback_(feedback) {
+                           FeedbackChannel& feedback, obs::Registry* registry,
+                           std::size_t max_held)
+    : pool_(pool),
+      egress_(egress),
+      feedback_(feedback),
+      held_(std::make_unique_for_overwrite<Held[]>(
+          std::bit_ceil(std::max<std::size_t>(1, max_held)))),
+      cap_(std::bit_ceil(std::max<std::size_t>(1, max_held))) {
   if (registry == nullptr) {
     own_registry_ = std::make_unique<obs::Registry>();
     registry = own_registry_.get();
@@ -45,14 +52,68 @@ BufferStats EgressBuffer::stats() const {
   return s;
 }
 
+void EgressBuffer::add_dep(Held& held, MboxId mbox, const DepVector& dep) {
+  const auto n = static_cast<std::uint32_t>(2 + std::popcount(dep.mask));
+  std::uint64_t* out = nullptr;
+  if (held.spill == 0 && held.n_words + n <= kHeldWords) {
+    out = held.words + held.n_words;
+  } else {
+    // Past the inline words: the whole hold moves to a spill (rare: many
+    // logs, or logs over many partitions), so deps_of() is one array.
+    if (held.spill == 0) {
+      held.spill = ++next_spill_ == 0 ? ++next_spill_ : next_spill_;
+      spills_[held.spill].assign(held.words, held.words + held.n_words);
+    }
+    std::vector<std::uint64_t>& spill = spills_[held.spill];
+    spill.resize(held.n_words + n);
+    out = spill.data() + held.n_words;
+  }
+  held.n_words += n;
+  *out++ = mbox;
+  *out++ = dep.mask;
+  for (std::uint64_t m = dep.mask; m != 0; m &= m - 1) {
+    *out++ = dep.seq[static_cast<std::size_t>(std::countr_zero(m))];
+  }
+}
+
+const std::uint64_t* EgressBuffer::deps_of(const Held& held) const {
+  return held.spill == 0 ? held.words : spills_.at(held.spill).data();
+}
+
 bool EgressBuffer::is_covered(const Held& held) const {
-  for (const auto& pending : held.pending) {
-    const auto it = known_commits_.find(pending.mbox);
-    if (it == known_commits_.end() || !it->second.covers(pending.dep)) {
-      return false;
+  const std::uint64_t* w = deps_of(held);
+  for (std::uint32_t i = 0; i < held.n_words;) {
+    const auto mbox = static_cast<MboxId>(w[i]);
+    const std::uint64_t mask = w[i + 1];
+    i += 2;
+    const auto it = known_commits_.find(mbox);
+    if (it == known_commits_.end()) return false;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1, ++i) {
+      if (w[i] > it->second.seq[static_cast<std::size_t>(std::countr_zero(m))]) {
+        return false;
+      }
     }
   }
   return true;
+}
+
+void EgressBuffer::absorb_locked(const CommitVector& c) {
+  auto [it, inserted] = known_commits_.try_emplace(c.mbox, c.max);
+  bool advanced = inserted;
+  if (!inserted) {
+    for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
+      if (c.max.seq[p] > it->second.seq[p]) {
+        it->second.seq[p] = c.max.seq[p];
+        advanced = true;
+      }
+    }
+  }
+  // Only an advance is published, and the forwarder splices each value
+  // once: a returned commit that comes around again changes nothing here,
+  // so it cannot circulate.
+  if (advanced && feedback_.returns_commit(c.mbox)) {
+    feedback_.publish_commit(c.mbox, it->second);
+  }
 }
 
 void EgressBuffer::release_locked(Held& held) {
@@ -62,6 +123,7 @@ void EgressBuffer::release_locked(Held& held) {
   }
   release_stage_[n_stage_++] = held.packet;
   held.packet = nullptr;
+  if (SFC_UNLIKELY(held.spill != 0)) spills_.erase(held.spill);
   if (n_stage_ == kMaxBurst) flush_releases_locked();
 }
 
@@ -78,98 +140,109 @@ void EgressBuffer::flush_releases_locked() {
   n_stage_ = 0;
 }
 
-void EgressBuffer::absorb(std::span<const CommitVector> commits) {
-  LockGuard lock(mutex_);
-  for (const auto& c : commits) {
-    auto [it, inserted] = known_commits_.try_emplace(c.mbox, c.max);
-    if (!inserted) it->second.merge(c.max);
+EgressBuffer::Held& EgressBuffer::push_held() {
+  if (span_ == cap_) {
+    // Full: double the ring, keeping arrival order.
+    auto bigger = std::make_unique_for_overwrite<Held[]>(2 * cap_);
+    for (std::size_t i = 0; i < span_; ++i) {
+      bigger[i] = held_[(head_ + i) & (cap_ - 1)];
+    }
+    held_ = std::move(bigger);
+    cap_ *= 2;
+    head_ = 0;
+  }
+  return held_[(head_ + span_++) & (cap_ - 1)];
+}
+
+void EgressBuffer::trim_front_locked() {
+  while (span_ != 0 && held_[head_].packet == nullptr) {
+    head_ = (head_ + 1) & (cap_ - 1);
+    --span_;
   }
 }
 
-void EgressBuffer::submit(pkt::Packet* p, PiggybackMessage&& msg) {
-  // Cache: the packet leaves our hands inside submit_core (freed for
-  // control packets, sent for released ones).
-  const bool is_control = p->anno().is_control;
-  const std::uint64_t trace_id = p->anno().trace_id;
-  std::vector<PendingLog> pending;
-  if (!is_control) {
-    pending.reserve(msg.logs.size());
-    for (const auto& log : msg.logs) {
-      pending.push_back(PendingLog{log.mbox, log.dep});
+void EgressBuffer::release_covered_locked() {
+  for (std::size_t i = 0; i < span_; ++i) {
+    Held& h = held_[(head_ + i) & (cap_ - 1)];
+    if (h.packet != nullptr && is_covered(h)) {
+      release_locked(h);
+      --n_held_;
     }
   }
-  submit_core(p, is_control, trace_id, {msg.commits.data(), msg.commits.size()},
-              std::move(pending));
+  trim_front_locked();
+}
 
-  // Commit vectors end their journey here (tail -> ... -> buffer, paper
-  // §5.1); only logs still traveling toward their wrap-around tails feed
-  // back to the forwarder. Dropping commits also terminates the idle
-  // propagation loop: once every log is stripped at its tail, feedback
-  // messages become empty.
+void EgressBuffer::absorb(std::span<const CommitVector> commits) {
+  LockGuard lock(mutex_);
+  for (const auto& c : commits) absorb_locked(c);
+}
+
+void EgressBuffer::submit(pkt::Packet* p, PiggybackMessage&& msg) {
+  {
+    LockGuard lock(mutex_);
+    for (const auto& c : msg.commits) absorb_locked(c);
+    const bool is_control = p->anno().is_control;
+    Held& held = is_control ? scratch_ : push_held();
+    reset(held, p);
+    if (!is_control) {
+      for (const auto& log : msg.logs) add_dep(held, log.mbox, log.dep);
+    }
+    submit_core(is_control, p->anno().trace_id, held);
+  }
+
+  // Commit vectors do not ride the records: returned ones go through the
+  // channel's commit slots (absorb_locked), the rest end here (paper
+  // §5.1). Only logs still traveling toward their wrap-around tails feed
+  // back to the forwarder.
   msg.commits.clear();
   if (!msg.empty()) feedback_.push(msg);
 }
 
 void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
+  // Surviving (wrap-around) logs outlive the packet on the feedback
+  // channel: one copy of their wire bytes, never materialized, and no
+  // commit vectors.
+  if (v.ok() && v.log_count() != 0) feedback_.push_logs(v);
+  LockGuard lock(mutex_);
   const bool is_control = p->anno().is_control;
-  const std::uint64_t trace_id = p->anno().trace_id;
-  rt::SmallVector<CommitVector, 2> commits;
-  std::vector<PendingLog> pending;
+  Held& held = is_control ? scratch_ : push_held();
+  reset(held, p);
   if (v.ok()) {
     for (std::size_t i = 0; i < v.commit_count(); ++i) {
       CommitVector c;
       c.mbox = v.commit(i, c.max);
-      commits.push_back(std::move(c));
+      absorb_locked(c);
     }
-    const std::size_t n = v.log_count();
-    if (!is_control && n != 0) {
-      pending.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
+    if (!is_control) {
+      for (std::size_t i = 0; i < v.log_count(); ++i) {
         const WireLog log = v.log(i);
-        pending.push_back(PendingLog{log.mbox, log.dep});
+        add_dep(held, log.mbox, log.dep);
       }
     }
-    // Surviving (wrap-around) logs outlive the packet on the feedback
-    // channel: one copy of their wire bytes, never materialized. Commits
-    // stay here, as on the materializing path.
-    if (n != 0) feedback_.push_logs(v);
     v.strip_tail();  // The packet leaves the chain bare.
   }
-  submit_core(p, is_control, trace_id, {commits.data(), commits.size()},
-              std::move(pending));
+  submit_core(is_control, p->anno().trace_id, held);
 }
 
-void EgressBuffer::submit_core(pkt::Packet* p, bool is_control,
-                               std::uint64_t trace_id,
-                               std::span<const CommitVector> commits,
-                               std::vector<PendingLog>&& pending) {
-  LockGuard lock(mutex_);
+void EgressBuffer::submit_core(bool is_control, std::uint64_t trace_id,
+                               Held& held) {
   submitted_->inc();
-
-  // Absorb the commit knowledge this packet carries.
-  for (const auto& c : commits) {
-    auto [it, inserted] = known_commits_.try_emplace(c.mbox, c.max);
-    if (!inserted) it->second.merge(c.max);
-  }
-
   if (is_control) {
     control_consumed_->inc();
-    pool_.free_raw(p);
+    pool_.free_raw(held.packet);
+    held.packet = nullptr;
+  } else if (held.n_words == 0 || is_covered(held)) {
+    // Nothing outstanding (e.g. read-only path all along the chain, or
+    // commits already caught up): release without holding, and give the
+    // slot (the ring's last) back.
+    release_locked(held);
+    released_immediately_->inc();
+    --span_;
   } else {
-    Held held{p, std::move(pending)};
-    if (held.pending.empty() || is_covered(held)) {
-      // Nothing outstanding (e.g. read-only path all along the chain, or
-      // commits already caught up): release without holding.
-      release_locked(held);
-      released_immediately_->inc();
-    } else {
-      if (trace_id != 0) {
-        span_event(registry_, trace_id, obs::SpanKind::kBufferHold);
-      }
-      held_.push_back(std::move(held));
-      high_water_->set(std::max<std::int64_t>(
-          high_water_->value(), static_cast<std::int64_t>(held_.size())));
-    }
+    if (trace_id != 0) span_event(registry_, trace_id, obs::SpanKind::kBufferHold);
+    ++n_held_;
+    high_water_->set(std::max<std::int64_t>(high_water_->value(),
+                                            static_cast<std::int64_t>(n_held_)));
   }
 
   // Release the covered prefix. Commit vectors advance cumulatively per
@@ -178,36 +251,28 @@ void EgressBuffer::submit_core(pkt::Packet* p, bool is_control,
   // quadratic at saturation. A non-prefix-eligible hold is released at the
   // latest by the next commit for its partitions (or the periodic full
   // scan on control packets below).
-  while (!held_.empty() && is_covered(held_.front())) {
-    release_locked(held_.front());
-    held_.pop_front();
-  }
-  if (is_control && ++full_scans_ % 4 == 0) {
-    for (auto it = held_.begin(); it != held_.end();) {
-      if (is_covered(*it)) {
-        release_locked(*it);
-        it = held_.erase(it);
-      } else {
-        ++it;
-      }
+  while (span_ != 0) {
+    Held& front = held_[head_];
+    if (front.packet != nullptr) {
+      if (!is_covered(front)) break;
+      release_locked(front);
+      --n_held_;
     }
+    head_ = (head_ + 1) & (cap_ - 1);
+    --span_;
   }
+  if (is_control && ++full_scans_ % 4 == 0) release_covered_locked();
   flush_releases_locked();
-  held_gauge_->set(static_cast<std::int64_t>(held_.size()));
+  held_gauge_->set(static_cast<std::int64_t>(n_held_));
+  feedback_.set_held(n_held_ != 0);
 }
 
 void EgressBuffer::release_eligible() {
   LockGuard lock(mutex_);
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (is_covered(*it)) {
-      release_locked(*it);
-      it = held_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  release_covered_locked();
   flush_releases_locked();
-  held_gauge_->set(static_cast<std::int64_t>(held_.size()));
+  held_gauge_->set(static_cast<std::int64_t>(n_held_));
+  feedback_.set_held(n_held_ != 0);
 }
 
 }  // namespace sfc::ftc

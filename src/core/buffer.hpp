@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -32,14 +31,21 @@ struct BufferStats {
 
 class EgressBuffer : rt::NonCopyable {
  public:
-  /// @param egress  Link carrying released packets out of the chain.
-  /// @param registry Metrics sink; a private registry is used when null.
+  /// @param egress    Link carrying released packets out of the chain.
+  /// @param registry  Metrics sink; a private registry is used when null.
+  /// @param max_held  Packets that can be held at once (the data pool's
+  ///                  size): the hold ring is allocated for them up front,
+  ///                  so holding never allocates.
   EgressBuffer(pkt::PacketPool& pool, net::Port& egress,
-               FeedbackChannel& feedback, obs::Registry* registry = nullptr);
+               FeedbackChannel& feedback, obs::Registry* registry = nullptr,
+               std::size_t max_held = 1024);
 
   /// Accepts a packet at the end of the chain with its final piggyback
   /// message. Consumes both. Control (propagating) packets deliver their
-  /// commits and are freed.
+  /// commits and are freed. A commit vector that advances the buffer's
+  /// knowledge of a middlebox whose group has members the commit does not
+  /// pass on its way here (FeedbackChannel::returns_commit) is published
+  /// to the feedback channel's commit slot for the forwarder to return.
   void submit(pkt::Packet* p, PiggybackMessage&& msg);
 
   /// submit() for the zero-copy path: commits and pending-log headers are
@@ -62,31 +68,57 @@ class EgressBuffer : rt::NonCopyable {
 
   std::size_t held_count() const {
     LockGuard lock(mutex_);
-    return held_.size();
+    return n_held_;
   }
 
  private:
-  struct PendingLog {
-    MboxId mbox;
-    DepVector dep;
+  /// Words of pending-log dependencies a hold keeps inline: per log its
+  /// mbox, its dependency mask and one sequence number per touched
+  /// partition (three words for a one-partition log).
+  static constexpr std::size_t kHeldWords = 14;
+
+  /// One held packet and the dependencies of the logs it carried, inline.
+  /// A hold with more than kHeldWords words of them keeps all of them in
+  /// spills_ under key `spill` (rare). Trivial, so the ring is allocated
+  /// without being written.
+  struct Held {
+    pkt::Packet* packet;  ///< Null once released (out of order).
+    std::uint32_t n_words;
+    std::uint32_t spill;  ///< 0: the words are inline.
+    std::uint64_t words[kHeldWords];
   };
 
-  struct Held {
-    pkt::Packet* packet;
-    std::vector<PendingLog> pending;
-  };
+  /// A fresh (empty) hold for @p p.
+  static void reset(Held& held, pkt::Packet* p) noexcept {
+    held.packet = p;
+    held.n_words = 0;
+    held.spill = 0;
+  }
+  /// Appends one log's dependencies to @p held.
+  void add_dep(Held& held, MboxId mbox, const DepVector& dep)
+      SFC_REQUIRES(mutex_);
+  const std::uint64_t* deps_of(const Held& held) const SFC_REQUIRES(mutex_);
 
   bool is_covered(const Held& held) const SFC_REQUIRES(mutex_);
-  /// Shared tail of submit()/submit_wire(): absorbs @p commits, holds or
-  /// releases the (already bare) packet, runs the prefix/periodic release
-  /// scans.
-  void submit_core(pkt::Packet* p, bool is_control, std::uint64_t trace_id,
-                   std::span<const CommitVector> commits,
-                   std::vector<PendingLog>&& pending) SFC_EXCLUDES(mutex_);
+  /// Merges @p c into the buffer's commit knowledge and publishes it for
+  /// return when it advanced.
+  void absorb_locked(const CommitVector& c) SFC_REQUIRES(mutex_);
+  /// The next free hold slot at the ring's end (the ring doubles if it is
+  /// ever full, which max_held rules out in a chain).
+  Held& push_held() SFC_REQUIRES(mutex_);
+  /// Shared tail of submit()/submit_wire(), once the commits are absorbed:
+  /// holds or releases the (already bare) packet in @p held, runs the
+  /// prefix/periodic release scans.
+  void submit_core(bool is_control, std::uint64_t trace_id, Held& held)
+      SFC_REQUIRES(mutex_);
   /// Stages @p held's packet for release; flush_releases_locked() ships the
   /// whole batch with one bulk send (releases within a submit/scan coalesce).
   void release_locked(Held& held) SFC_REQUIRES(mutex_);
   void flush_releases_locked() SFC_REQUIRES(mutex_);
+  /// Releases every covered hold, in or out of order.
+  void release_covered_locked() SFC_REQUIRES(mutex_);
+  /// Drops released slots off the ring's front.
+  void trim_front_locked() SFC_REQUIRES(mutex_);
 
   pkt::PacketPool& pool_;
   net::Port& egress_;
@@ -96,7 +128,19 @@ class EgressBuffer : rt::NonCopyable {
   /// Node-level rank: flush_releases_locked() drives the egress Link /
   /// ReliableChannel (lower ranks) while this is held.
   mutable Mutex mutex_{ranks::kNode, "ftc.egress_buffer"};
-  std::deque<Held> held_ SFC_GUARDED_BY(mutex_);
+  /// Holds in arrival order: a ring of cap_ (a power of two) slots,
+  /// [head_, head_ + span_) in use, n_held_ of them live.
+  std::unique_ptr<Held[]> held_ SFC_GUARDED_BY(mutex_);
+  std::size_t cap_ SFC_GUARDED_BY(mutex_){0};
+  std::size_t head_ SFC_GUARDED_BY(mutex_){0};
+  std::size_t span_ SFC_GUARDED_BY(mutex_){0};
+  std::size_t n_held_ SFC_GUARDED_BY(mutex_){0};
+  /// Dependencies of holds too large for their inline words.
+  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> spills_
+      SFC_GUARDED_BY(mutex_);
+  std::uint32_t next_spill_ SFC_GUARDED_BY(mutex_){0};
+  /// Scratch slot for a control packet (never held).
+  Held scratch_ SFC_GUARDED_BY(mutex_){};
   std::unordered_map<MboxId, MaxVector> known_commits_ SFC_GUARDED_BY(mutex_);
   std::uint64_t full_scans_ SFC_GUARDED_BY(mutex_){0};
 

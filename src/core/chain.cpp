@@ -80,12 +80,15 @@ void ChainRuntime::build_ftc() {
   egress_link_ = std::make_unique<net::Link>(*pool_, net::LinkConfig{},
                                              &registry_, "egress",
                                              obs::span_site_link(kEgressLinkSite));
-  feedback_ = std::make_unique<FeedbackChannel>(*internal_pool_,
-                                                spec_.cfg.num_partitions);
+  feedback_ = std::make_unique<FeedbackChannel>(
+      *internal_pool_, spec_.cfg.num_partitions, 1024,
+      FeedbackChannel::commit_returns_for(num_mboxes(), ring_size_,
+                                          spec_.cfg.f));
   forwarder_ =
       std::make_unique<Forwarder>(*feedback_, spec_.cfg, *internal_pool_);
   buffer_ = std::make_unique<EgressBuffer>(*internal_pool_, *egress_link_,
-                                           *feedback_, &registry_);
+                                           *feedback_, &registry_,
+                                           spec_.cfg.pool_packets);
   registry_.gauge_fn("forwarder.feedback_pending", {{"node", "fwd"}}, [this] {
     return static_cast<double>(feedback_->pending_approx());
   });
@@ -96,6 +99,10 @@ void ChainRuntime::build_ftc() {
   });
   registry_.gauge_fn("forwarder.tailroom_fallbacks", {{"node", "fwd"}}, [this] {
     return static_cast<double>(forwarder_->tailroom_fallbacks());
+  });
+  // Hand-offs that waited for the forwarder to make room (queue full).
+  registry_.gauge_fn("forwarder.feedback_full_waits", {{"node", "fwd"}}, [this] {
+    return static_cast<double>(feedback_->full_waits());
   });
   // Single logs larger than any propagating packet holds: not fed back.
   registry_.gauge_fn("forwarder.oversize_drops", {{"node", "fwd"}}, [this] {
@@ -241,6 +248,10 @@ bool ChainRuntime::quiescent() {
     if (dbg)
       std::fprintf(stderr, "[quiesce] feedback pending=%zu\n",
                    feedback_->pending_approx());
+    return false;
+  }
+  if (feedback_ && feedback_->commit_pending()) {
+    if (dbg) std::fprintf(stderr, "[quiesce] returned commit pending\n");
     return false;
   }
   if (buffer_ && buffer_->held_count() != 0) {

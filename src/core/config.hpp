@@ -128,8 +128,9 @@ struct ChainConfig {
   /// Maximum feedback messages the forwarder merges onto one packet.
   std::size_t forwarder_merge_limit{8};
 
-  /// Retained piggyback logs per store for retransmission; pruned by
-  /// commit vectors, bounded by this capacity.
+  /// Size of each retransmission history ring, in logs of up to 60 wire
+  /// bytes (64 ring bytes each). Only commit vectors free room: a full
+  /// ring makes the next transaction wait, it never evicts.
   std::size_t history_capacity{65536};
 
   /// FTMB snapshot simulation (paper §7.4: 6 ms stall every 50 ms).

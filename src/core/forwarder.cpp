@@ -1,6 +1,7 @@
 #include "core/forwarder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <thread>
 
 namespace sfc::ftc {
@@ -35,8 +36,14 @@ void FeedbackChannel::push_message(std::size_t size, Write&& write) {
       oversize_drops_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    while ((carrier = Forwarder::make_propagating_packet(pool_)) == nullptr) {
-      std::this_thread::yield();
+    // A wait here (and for a queue slot below) lasts until the forwarder
+    // consumes; it is counted (forwarder.feedback_full_waits), never a
+    // loss.
+    if ((carrier = Forwarder::make_propagating_packet(pool_)) == nullptr) {
+      full_waits_.fetch_add(1, std::memory_order_relaxed);
+      do {
+        std::this_thread::yield();
+      } while ((carrier = Forwarder::make_propagating_packet(pool_)) == nullptr);
     }
     write(carrier->push_back(size));
   }
@@ -45,7 +52,35 @@ void FeedbackChannel::push_message(std::size_t size, Write&& write) {
     r.size = carrier != nullptr ? 0 : static_cast<std::uint32_t>(size);
     if (carrier == nullptr) write(r.bytes);
   };
-  while (!queue_.try_push_with(fill)) std::this_thread::yield();
+  if (!queue_.try_push_with(fill)) {
+    full_waits_.fetch_add(1, std::memory_order_relaxed);
+    do {
+      std::this_thread::yield();
+    } while (!queue_.try_push_with(fill));
+  }
+}
+
+void FeedbackChannel::publish_commit(MboxId mbox,
+                                     const MaxVector& max) noexcept {
+  CommitSlot& slot = commits_[mbox];
+  const std::uint64_t v = slot.version.load(std::memory_order_relaxed);
+  slot.version.store(v + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  for (std::size_t p = 0; p < num_partitions_; ++p) {
+    slot.seq[p].store(max.seq[p], std::memory_order_relaxed);
+  }
+  slot.version.store(v + 2, std::memory_order_release);
+}
+
+bool FeedbackChannel::commit_pending() const noexcept {
+  for (std::uint64_t bits = commit_returns_; bits != 0; bits &= bits - 1) {
+    const CommitSlot& slot = commits_[std::countr_zero(bits)];
+    if (slot.version.load(std::memory_order_acquire) !=
+        slot.taken.load(std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void FeedbackChannel::push_logs(const PiggybackView& v) {
@@ -88,7 +123,8 @@ void FeedbackChannel::push(const PiggybackMessage& msg) {
 std::size_t Forwarder::splice(pkt::Packet& p, PiggybackView& view,
                               pkt::Packet** extra) {
   view = PiggybackView{};
-  if (feedback_.pending_approx() == 0) return 0;
+  const bool records = feedback_.pending_approx() != 0;
+  if (!records && !feedback_.commit_pending()) return 0;
   std::size_t n_extra = 0;
   pkt::Packet* target = &p;
   if (SFC_UNLIKELY(p.tailroom() < kSpliceRoom)) {
@@ -99,7 +135,7 @@ std::size_t Forwarder::splice(pkt::Packet& p, PiggybackView& view,
     target = prop;
   }
   PiggybackView v;
-  for (std::size_t i = 0; i < cfg_.forwarder_merge_limit; ++i) {
+  for (std::size_t i = 0; records && i < cfg_.forwarder_merge_limit; ++i) {
     if (v.ok() && target->tailroom() < kSpliceRoom) break;
     pkt::Packet* carrier = nullptr;
     const bool popped = feedback_.pop_with([&](const FeedbackRecord& r) {
@@ -119,6 +155,12 @@ std::size_t Forwarder::splice(pkt::Packet& p, PiggybackView& view,
       break;
     }
   }
+  // Returned commits ride the same packet; kSpliceRoom leaves room for
+  // them. One that does not fit stays pending for the next packet.
+  feedback_.splice_commits([&](MboxId mbox, const MaxVector& max) {
+    if (!v.ok()) v = PiggybackView::create(*target, cfg_.num_partitions);
+    return v.ok() && v.merge_commit(mbox, max);
+  });
   if (target == &p) view = std::move(v);
   return n_extra;
 }

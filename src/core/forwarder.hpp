@@ -4,12 +4,17 @@
 // bytes, into a fixed-size record on the feedback channel; the forwarder at
 // the chain ingress splices pending records onto incoming packets (merging
 // several if the ingress is slower than the egress) so the state of
-// chain-end middleboxes replicates at the chain-start servers. When the
-// chain is idle, the forwarder's node emits propagating packets instead.
+// chain-end middleboxes replicates at the chain-start servers. Commit
+// vectors that heads (and middle replicas) upstream of their tail need
+// return the same way, through a per-middlebox "latest commit" slot. When
+// the chain is idle, the forwarder's node emits propagating packets
+// instead.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 
@@ -54,14 +59,77 @@ class FeedbackChannel : rt::NonCopyable {
  public:
   /// @param pool            Source of spill carriers.
   /// @param num_partitions  Commit-vector width of the chain's messages.
+  /// @param commit_returns  Bit m set: the commit vectors of middlebox m
+  ///                        return to the ingress (returns_commit).
   FeedbackChannel(pkt::PacketPool& pool, std::size_t num_partitions,
-                  std::size_t capacity = 1024)
-      : pool_(pool), num_partitions_(num_partitions), queue_(capacity) {}
+                  std::size_t capacity = 1024,
+                  std::uint64_t commit_returns = 0)
+      : pool_(pool),
+        num_partitions_(num_partitions),
+        queue_(capacity),
+        commit_returns_(commit_returns),
+        commits_(std::make_unique<CommitSlot[]>(
+            static_cast<std::size_t>(std::bit_width(commit_returns)))) {}
   /// Returns the carriers of records never spliced to their pool.
   ~FeedbackChannel();
 
+  /// True when @p mbox's commit vectors return to the ingress: some member
+  /// of its replication group other than the tail (the head, a middle
+  /// replica) sits at a position the commit does not pass between its
+  /// tail and the buffer.
+  bool returns_commit(MboxId mbox) const noexcept {
+    return mbox < 64 && ((commit_returns_ >> mbox) & 1U) != 0;
+  }
+
+  /// The mbox bits returns_commit() is true for, in a ring of @p ring_size
+  /// positions whose first @p num_mboxes carry middleboxes, replicated f+1
+  /// times: m + f != ring_size. Below it the tail follows the head, so the
+  /// commit never passes the head on its way to the buffer; above it the
+  /// tail wraps to position m + f - ring_size > 0 and the group members
+  /// before it are missed. Only a tail at position 0 is passed by all.
+  static std::uint64_t commit_returns_for(std::uint32_t num_mboxes,
+                                          std::uint32_t ring_size,
+                                          std::uint32_t f) noexcept {
+    std::uint64_t bits = 0;
+    for (std::uint32_t m = 0; m < num_mboxes && m < 64; ++m) {
+      if (f != 0 && m + f != ring_size) bits |= 1ULL << m;
+    }
+    return bits;
+  }
+
+  /// Buffer side: @p max is the newest commit vector of @p mbox (a
+  /// returns_commit() middlebox), which advanced. Overwrites the slot: the
+  /// forwarder splices the latest value once. One writer (the buffer).
+  void publish_commit(MboxId mbox, const MaxVector& max) noexcept;
+
+  /// Forwarder side: runs merge(MboxId, const MaxVector&) -> bool on each
+  /// slot holding a value not spliced yet; a value merge() accepts is
+  /// consumed, so each one rides exactly one packet around the ring.
+  template <typename Merge>
+  void splice_commits(Merge&& merge);
+
+  /// A published commit vector has not been spliced yet.
+  bool commit_pending() const noexcept;
+
+  /// Buffer side: whether it holds packets waiting for commits. While it
+  /// does, the forwarder keeps sending idle propagating packets — the
+  /// commit that releases them may have been lost with a packet.
+  void set_held(bool held) noexcept {
+    if (held_.load(std::memory_order_relaxed) != held) {
+      held_.store(held, std::memory_order_relaxed);
+    }
+  }
+  bool held() const noexcept { return held_.load(std::memory_order_relaxed); }
+
+  /// Hand-offs that found the queue full (or, for a spill, the pool empty)
+  /// and waited for the forwarder to make room.
+  std::uint64_t full_waits() const noexcept {
+    return full_waits_.load(std::memory_order_relaxed);
+  }
+
   /// Feeds back the logs of @p v as raw wire bytes, without its commit
-  /// vectors (those end their journey at the buffer, paper §5.1).
+  /// vectors (those return through the commit slots, or end at the
+  /// buffer, paper §5.1).
   void push_logs(const PiggybackView& v);
 
   /// Feeds back @p msg as it is (the materializing submit path).
@@ -100,11 +168,45 @@ class FeedbackChannel : rt::NonCopyable {
   template <typename Write>
   void push_message(std::size_t size, Write&& write);
 
+  /// One middlebox's latest commit vector: a seqlock (even version =
+  /// stable; each publish adds 2) over atomic words, and the version the
+  /// forwarder spliced last.
+  struct alignas(rt::kCacheLineSize) CommitSlot {
+    std::atomic<std::uint64_t> version{0};
+    std::atomic<std::uint64_t> taken{0};
+    std::atomic<std::uint64_t> seq[state::kMaxPartitions]{};
+  };
+
   pkt::PacketPool& pool_;
   const std::size_t num_partitions_;
   rt::MpmcQueue<FeedbackRecord> queue_;
   std::atomic<std::uint64_t> oversize_drops_{0};
+  std::atomic<std::uint64_t> full_waits_{0};
+  const std::uint64_t commit_returns_;
+  std::unique_ptr<CommitSlot[]> commits_;
+  std::atomic<bool> held_{false};
 };
+
+template <typename Merge>
+void FeedbackChannel::splice_commits(Merge&& merge) {
+  for (std::uint64_t bits = commit_returns_; bits != 0; bits &= bits - 1) {
+    const auto m = static_cast<MboxId>(std::countr_zero(bits));
+    CommitSlot& slot = commits_[m];
+    std::uint64_t taken = slot.taken.load(std::memory_order_relaxed);
+    const std::uint64_t v = slot.version.load(std::memory_order_acquire);
+    if (v == taken || (v & 1U) != 0) continue;  // Nothing new, or mid-write.
+    MaxVector max;
+    for (std::size_t p = 0; p < num_partitions_; ++p) {
+      max.seq[p] = slot.seq[p].load(std::memory_order_relaxed);
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.version.load(std::memory_order_relaxed) != v) continue;
+    // A racing splicer that took it first leaves a harmless duplicate.
+    if (merge(m, std::as_const(max))) {
+      slot.taken.compare_exchange_strong(taken, v, std::memory_order_relaxed);
+    }
+  }
+}
 
 class Forwarder : rt::NonCopyable {
  public:
@@ -121,7 +223,9 @@ class Forwarder : rt::NonCopyable {
 
   /// Splices pending records onto @p p, a packet without a message: the
   /// first becomes its tail with one memcpy, up to forwarder_merge_limit
-  /// in all merge in place (PiggybackView::merge). @p view receives the
+  /// in all merge in place (PiggybackView::merge), and every returned
+  /// commit vector not spliced yet merges in (PiggybackView::merge_commit).
+  /// @p view receives the
   /// opened message (invalid when nothing was spliced). Records that cannot
   /// ride @p p — a spill, or every record when @p p's tailroom is short —
   /// ride propagating packets instead: they are stored in @p extra (room
@@ -130,9 +234,11 @@ class Forwarder : rt::NonCopyable {
   std::size_t splice(pkt::Packet& p, PiggybackView& view, pkt::Packet** extra);
 
   /// True when the chain has been idle long enough that pending state must
-  /// be pushed with a propagating packet.
+  /// be pushed with a propagating packet: fed-back logs, a returned commit,
+  /// or packets the buffer holds (their commit may have been lost).
   bool propagation_due() const noexcept {
-    return feedback_.pending_approx() > 0 &&
+    return (feedback_.pending_approx() > 0 || feedback_.commit_pending() ||
+            feedback_.held()) &&
            rt::now_ns() - last_activity_ns_.load(std::memory_order_relaxed) >
                cfg_.propagate_interval_ns;
   }

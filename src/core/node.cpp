@@ -142,7 +142,8 @@ FtcNode::FtcNode(Params params)
   for (std::uint32_t k = 1; k <= cfg_.f && k < ring_size_; ++k) {
     const std::uint32_t m = (position_ + ring_size_ - k) % ring_size_;
     if (m < num_mboxes_) {
-      appliers_.emplace(m, std::make_unique<InOrderApplier>(m, cfg_));
+      // The group's tail (k == f) keeps no history.
+      appliers_.emplace(m, std::make_unique<InOrderApplier>(m, cfg_, k < cfg_.f));
     }
   }
   // Hot-path caches (appliers_ is immutable from here on).
@@ -186,6 +187,15 @@ FtcNode::FtcNode(Params params)
     return handoff_mesh_ != nullptr
                ? static_cast<double>(handoff_mesh_->depth_high_water())
                : 0.0;
+  });
+  // Transactions and applies that waited for room in a full history.
+  registry_->gauge_fn("history.full_waits", slabels, [this] {
+    std::uint64_t waits =
+        head_ != nullptr ? head_->history().full_waits() : 0;
+    for (const auto& [m, a] : applier_cache_) {
+      waits += a->history().full_waits();
+    }
+    return static_cast<double>(waits);
   });
   registry_->gauge_fn("state.owner_miss", slabels, [this] {
     return head_ != nullptr
@@ -390,6 +400,8 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
     // whole burst sits unapplied in this worker's hands.
     ws.set_phase(kPolling);
     const std::uint64_t pp0 = slot != nullptr ? rt::rdtsc() : 0;
+    // Quiet mode: a burst must not touch the heap.
+    const std::uint64_t allocs0 = slot != nullptr ? obs::thread_heap_allocs() : 0;
     const std::size_t got = in->poll_burst(rx, burst_size_);
     if (got == 0) {
       ws.set_phase(kIdle);
@@ -506,6 +518,10 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
         slot->bursts.fetch_add(1, std::memory_order_relaxed);
         slot->wall_cycles.fetch_add(wall, std::memory_order_relaxed);
         b.prof = nullptr;
+        if (const std::uint64_t allocs = obs::thread_heap_allocs() - allocs0;
+            SFC_UNLIKELY(allocs != 0)) {
+          obs::prof_count(obs::ProfCounter::kHeapAlloc, allocs);
+        }
       }
       did_work = true;
       ws.set_phase(kIdle);
@@ -757,18 +773,54 @@ void FtcNode::apply_logs_burst(ViewWork* vw, std::size_t n) {
     std::uint32_t pkt;
     std::uint32_t idx;
   };
-  rt::SmallVector<WireLog, 64> logs;
-  rt::SmallVector<Origin, 64> origin;
-  rt::SmallVector<InOrderApplier::Offer, 64> results;
+  // Offered in chunks of kChunk logs, so a burst of bunched-up packets
+  // stays in these inline arrays instead of spilling to the heap.
+  constexpr std::size_t kChunk = 64;
+  rt::SmallVector<WireLog, kChunk> logs;
+  rt::SmallVector<Origin, kChunk> origin;
+  rt::SmallVector<InOrderApplier::Offer, kChunk> results;
   std::uint64_t applied = 0;
   std::uint64_t duplicate = 0;
   for (const auto& [mbox, a] : applier_cache_) {
-    logs.clear();
-    origin.clear();
-    results.clear();
+    const auto offer_chunk = [&, a = a] {
+      a->offer_burst({logs.data(), logs.size()}, results.data());
+      for (std::size_t k = 0; k < logs.size(); ++k) {
+        auto offer = results[k];
+        if (offer == InOrderApplier::Offer::kHeld &&
+            cfg_.threads_per_node > 1) {
+          // Same retry as apply_logs: with sibling threads the missing
+          // predecessor is usually in flight right now, and retrying k in
+          // order lets a successful retry unblock k+1 below.
+          for (int spin = 0;
+               spin < 4 && offer == InOrderApplier::Offer::kHeld; ++spin) {
+            std::this_thread::yield();
+            offer = a->offer_wire(logs[k]);
+          }
+        }
+        switch (offer) {
+          case InOrderApplier::Offer::kApplied:
+            ++applied;
+            break;
+          case InOrderApplier::Offer::kDuplicate:
+            ++duplicate;
+            break;
+          case InOrderApplier::Offer::kHeld: {
+            // Remember the earliest held log (in message order): the
+            // packet re-enters the legacy path from there; logs already
+            // applied above re-offer as duplicates.
+            std::uint32_t& held = vw[origin[k].pkt].held_at;
+            held = std::min(held, origin[k].idx);
+            break;
+          }
+        }
+      }
+      logs.clear();
+      origin.clear();
+      results.clear();
+    };
     // Gather this applier's logs across the whole burst in rx order, so
     // one offer_burst takes the MAX mutex (and each touched store
-    // partition lock) once instead of once per log.
+    // partition lock) once per chunk instead of once per log.
     for (std::uint32_t i = 0; i < n; ++i) {
       const PiggybackView& v = vw[i].view;
       if (!v.ok()) continue;
@@ -779,40 +831,10 @@ void FtcNode::apply_logs_burst(ViewWork* vw, std::size_t n) {
         logs.push_back(log);
         origin.push_back(Origin{i, j});
         results.push_back(InOrderApplier::Offer::kHeld);
+        if (logs.size() == kChunk) offer_chunk();
       }
     }
-    if (logs.empty()) continue;
-    a->offer_burst({logs.data(), logs.size()}, results.data());
-    for (std::size_t k = 0; k < logs.size(); ++k) {
-      auto offer = results[k];
-      if (offer == InOrderApplier::Offer::kHeld &&
-          cfg_.threads_per_node > 1) {
-        // Same retry as apply_logs: with sibling threads the missing
-        // predecessor is usually in flight right now, and retrying k in
-        // order lets a successful retry unblock k+1 below.
-        for (int spin = 0; spin < 4 && offer == InOrderApplier::Offer::kHeld;
-             ++spin) {
-          std::this_thread::yield();
-          offer = a->offer_wire(logs[k]);
-        }
-      }
-      switch (offer) {
-        case InOrderApplier::Offer::kApplied:
-          ++applied;
-          break;
-        case InOrderApplier::Offer::kDuplicate:
-          ++duplicate;
-          break;
-        case InOrderApplier::Offer::kHeld: {
-          // Remember the earliest held log (in message order): the packet
-          // re-enters the legacy path from there; logs already applied
-          // above re-offer as duplicates.
-          std::uint32_t& held = vw[origin[k].pkt].held_at;
-          held = std::min(held, origin[k].idx);
-          break;
-        }
-      }
-    }
+    if (!logs.empty()) offer_chunk();
   }
   if (applied != 0) stats_.logs_applied->add(applied);
   if (duplicate != 0) stats_.logs_duplicate->add(duplicate);
@@ -851,8 +873,11 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
                    obs::SpanKind::kStrip, tail_mbox_);
       }
     }
+    // A propagating packet always carries the current commit: it may be
+    // the one that repairs a commit lost with an earlier packet.
     const std::uint64_t applied = a->applied_count();
-    if (applied != last_commit_attach_.load(std::memory_order_relaxed)) {
+    if (applied != last_commit_attach_.load(std::memory_order_relaxed) ||
+        p->anno().is_control) {
       if (!v.ok()) v = PiggybackView::create(*p, cfg_.num_partitions);
       if (v.ok() && v.set_commit(tail_mbox_, a->max())) {
         last_commit_attach_.store(applied, std::memory_order_relaxed);
@@ -928,13 +953,26 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
       if (mbox_->stateless()) {
         verdict = mbox_->process_stateless(*p, *parsed, pctx);
       } else {
+        if (SFC_UNLIKELY(!head_->history().reserve())) {
+          // The history is full: the transaction waits (backpressure),
+          // and later packets' commits free the room.
+          Work work;
+          work.packet = p;
+          work.thread_id = thread_id;
+          if (auto msg = extract_message(*p)) work.msg = std::move(*msg);
+          work.next_log = work.msg.logs.size();
+          park_for_room(std::move(work));
+          return;
+        }
         auto record = state::run_transaction(head_->txn_ctx(), [&](state::Txn& txn) {
           pctx.deferred_rewrite.reset();
           verdict = mbox_->process(txn, *p, *parsed, pctx);
         });
         if (!record.read_only()) {
-          new_log = head_->make_log(std::move(record));
+          new_log = head_->log_of(std::move(record));
           have_log = true;
+        } else {
+          head_->history().unreserve();
         }
       }
       if (pctx.deferred_rewrite) pkt::rewrite_flow(*parsed, *pctx.deferred_rewrite);
@@ -981,7 +1019,10 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
     stats_.drops_filtered->inc();
     PiggybackMessage out;
     if (auto msg = extract_message(*p)) out = std::move(*msg);
-    if (have_log) out.logs.push_back(std::move(new_log));
+    if (have_log) {
+      head_->history().record(new_log, true);
+      out.logs.push_back(std::move(new_log));
+    }
     pool_.free_raw(p);
     if (!out.empty()) emit_propagating(std::move(out));
     return;
@@ -1003,12 +1044,25 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
       // The log outgrew this packet's tailroom. The materializing emit
       // handles it: it re-tries the append as a whole and detours the
       // message onto a propagating packet when it still cannot fit.
+      head_->history().record(new_log, true);
       PiggybackMessage out;
       if (auto msg = extract_message(*p)) out = std::move(*msg);
       out.logs.push_back(std::move(new_log));
       emit(p, std::move(out));
       flush_forward();
       return;
+    }
+    // The history keeps the bytes just serialized onto the packet.
+    const WireLog appended = v.log(v.log_count() - 1);
+    head_->history().record({appended.bytes, appended.wire_size}, true);
+  } else if (SFC_UNLIKELY(p->anno().is_control) && head_ != nullptr) {
+    // A propagating packet carries this head's newest log not yet covered
+    // by its tail's commit: if the packet that carried it was lost, a
+    // successor learns of the gap (and NACKs) even after traffic stops.
+    std::uint8_t* buf = worker_state_[thread_id].newest_log;
+    if (const std::size_t n = head_->history().newest(buf); n != 0) {
+      if (!v.ok()) v = PiggybackView::create(*p, cfg_.num_partitions);
+      if (v.ok()) v.append_wire_log({buf, n});
     }
   }
   if (trace_id != 0) {
@@ -1054,7 +1108,7 @@ void FtcNode::park(Work&& work) {
   trace_->emit(obs::Event::kPacketParked, blocked_on, depth);
 }
 
-void FtcNode::finish_work(Work&& work) {
+bool FtcNode::finish_work(Work&& work) {
   pkt::Packet* p = work.packet;
   PiggybackMessage msg = std::move(work.msg);
   const std::uint64_t trace_id = p->anno().trace_id;
@@ -1079,7 +1133,8 @@ void FtcNode::finish_work(Work&& work) {
     // unchanged MAX carries no information and costs 100+ bytes per
     // packet on read-heavy workloads.
     const std::uint64_t applied = a->applied_count();
-    if (applied != last_commit_attach_.load(std::memory_order_relaxed)) {
+    if (applied != last_commit_attach_.load(std::memory_order_relaxed) ||
+        p->anno().is_control) {
       last_commit_attach_.store(applied, std::memory_order_relaxed);
       msg.set_commit(tail_mbox, a->max());
       trace_->emit(obs::Event::kCommitAttach, tail_mbox, applied);
@@ -1128,12 +1183,21 @@ void FtcNode::finish_work(Work&& work) {
       if (mbox_->stateless()) {
         verdict = mbox_->process_stateless(*p, *parsed, pctx);
       } else {
+        if (!head_->history().reserve()) {
+          work.packet = p;
+          work.msg = std::move(msg);
+          work.next_log = work.msg.logs.size();
+          park_for_room(std::move(work));
+          return false;
+        }
         auto record = state::run_transaction(head_->txn_ctx(), [&](state::Txn& txn) {
           pctx.deferred_rewrite.reset();
           verdict = mbox_->process(txn, *p, *parsed, pctx);
         });
         if (!record.read_only()) {
-          msg.logs.push_back(head_->make_log(std::move(record)));
+          msg.logs.push_back(head_->make_log(std::move(record), true));
+        } else {
+          head_->history().unreserve();
         }
       }
       if (pctx.deferred_rewrite) pkt::rewrite_flow(*parsed, *pctx.deferred_rewrite);
@@ -1183,7 +1247,7 @@ void FtcNode::finish_work(Work&& work) {
     stats_.drops_filtered->inc();
     pool_.free_raw(p);
     if (!msg.empty()) emit_propagating(std::move(msg));
-    return;
+    return true;
   }
   const std::uint64_t tf0 = account_cycles_ ? rt::rdtsc() : 0;
   emit(p, std::move(msg));
@@ -1202,6 +1266,18 @@ void FtcNode::finish_work(Work&& work) {
       t_burst.prof_mark = now;
     }
   }
+  return true;
+}
+
+void FtcNode::park_for_room(Work&& work) {
+  work.room_wait = true;
+  if (!work.msg.commits.empty()) {
+    PiggybackMessage commits;
+    commits.commits = std::move(work.msg.commits);
+    work.msg.commits.clear();
+    emit_propagating(std::move(commits));
+  }
+  park(std::move(work));
 }
 
 void FtcNode::emit(pkt::Packet* p, PiggybackMessage&& msg) {
@@ -1282,9 +1358,26 @@ void FtcNode::drain_parked() {
       parked_size_.store(0, std::memory_order_release);
     }
     bool progress = false;
+    // Once one packet found the head's history still full, the ones
+    // behind it wait without another try: only a commit frees room.
+    bool room_full = false;
     std::vector<Work> still_blocked;
     for (auto& work : candidates) {
+      if (work.room_wait && room_full) {
+        still_blocked.push_back(std::move(work));
+        continue;
+      }
       const std::size_t before = work.next_log;
+      if (work.room_wait) {
+        // Its logs were applied before it parked; only the room is new.
+        work.room_wait = false;
+        if (!finish_work(std::move(work))) {
+          room_full = true;
+          continue;
+        }
+        progress = true;
+        continue;
+      }
       if (apply_logs(work)) {
         const bool was_parked = work.parked_at_ns != 0;
         const MboxId unblocked = before < work.msg.logs.size()
@@ -1295,7 +1388,7 @@ void FtcNode::drain_parked() {
                      work.packet->anno().trace_id, obs::SpanKind::kUnpark,
                      rt::now_ns() - work.parked_at_ns);
         }
-        finish_work(std::move(work));
+        if (!finish_work(std::move(work))) continue;  // Waits for room.
         if (was_parked) {
           trace_->emit(obs::Event::kPacketUnparked, unblocked,
                        still_blocked.size());
@@ -1436,21 +1529,23 @@ void FtcNode::handle_nack(const net::Message& req) {
   MaxVector from;
   if (!take_u32(in, mbox) || !take_max(in, from)) return;
 
-  std::vector<PiggybackLog> logs;
-  if (head_ != nullptr && mbox == position_) {
-    logs = head_->history().logs_after(from);
-  } else if (InOrderApplier* a = applier(mbox)) {
-    logs = a->history().logs_after(from);
-  }
-
   net::Message resp;
   resp.type = kNackResp;
   resp.from = id_;
   resp.to = req.from;
   resp.tag = req.tag;
   put_u32(resp.payload, mbox);
-  const std::uint64_t shipped = logs.size();
-  serialize_logs(logs, resp.payload);
+  // The reply copies the history's wire records straight into the payload.
+  const std::size_t count_at = resp.payload.size();
+  if (head_ != nullptr && mbox == position_) {
+    head_->history().copy_after(from, resp.payload);
+  } else if (InOrderApplier* a = applier(mbox)) {
+    a->history().copy_after(from, resp.payload);
+  } else {
+    serialize_logs({}, resp.payload);
+  }
+  std::uint32_t shipped = 0;
+  std::memcpy(&shipped, resp.payload.data() + count_at, 4);
   ctrl_.send(std::move(resp));
   stats_.nacks_served->inc();
   trace_->emit(obs::Event::kNackServed, mbox, shipped);
@@ -1459,13 +1554,13 @@ void FtcNode::handle_nack(const net::Message& req) {
 void FtcNode::handle_nack_resp(const net::Message& resp) {
   std::span<const std::uint8_t> in(resp.payload);
   std::uint32_t mbox = 0;
-  std::vector<PiggybackLog> logs;
-  if (!take_u32(in, mbox) || !deserialize_logs(in, logs)) return;
+  std::vector<WireLog> logs;  // Cursors into the payload.
+  if (!take_u32(in, mbox) || !parse_logs(in, logs)) return;
   InOrderApplier* a = applier(mbox);
   if (a == nullptr) return;
   std::uint64_t applied = 0;
   for (const auto& log : logs) {
-    if (a->offer(log) == InOrderApplier::Offer::kApplied) {
+    if (a->offer_wire(log) == InOrderApplier::Offer::kApplied) {
       stats_.logs_applied->inc();
       ++applied;
     }

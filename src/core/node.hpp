@@ -228,6 +228,8 @@ class FtcNode : rt::NonCopyable {
     std::size_t next_log{0};
     std::uint64_t parked_at_ns{0};
     std::uint32_t thread_id{0};
+    /// Parked before its transaction because the head's history is full.
+    bool room_wait{false};
   };
 
   /// Sentinel for ViewWork::held_at: no log of this packet is held.
@@ -263,6 +265,8 @@ class FtcNode : rt::NonCopyable {
     rt::SingleWriterHistogram pb_logs;
     pkt::Packet* pkts[kBurstViews];
     ViewWork vw[kBurstViews];
+    /// The head's newest history record, copied onto propagating packets.
+    std::uint8_t newest_log[LogHistory::kMaxWireBytes];
 
     void set_phase(Phase ph) noexcept {
       phase.store((bursts << 2) | ph, std::memory_order_seq_cst);
@@ -292,8 +296,13 @@ class FtcNode : rt::NonCopyable {
   /// on a missing predecessor log (the caller parks the work).
   bool apply_logs(Work& work);
   void park(Work&& work);
-  /// Phases B-D.
-  void finish_work(Work&& work);
+  /// Phases B-D. Returns false when the work parked again, waiting for
+  /// room in the head's history.
+  bool finish_work(Work&& work);
+  /// Parks @p work before its transaction until the head's history has
+  /// room. The commit vectors it carries go ahead on a propagating packet:
+  /// they are what frees that room, here and at other positions.
+  void park_for_room(Work&& work);
   void emit(pkt::Packet* p, PiggybackMessage&& msg);
   /// Immediate (non-staged) send with blocked-cycle accounting.
   void send_now(net::Port* out, pkt::Packet* p);

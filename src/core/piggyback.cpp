@@ -265,50 +265,41 @@ void serialize_logs(std::span<const PiggybackLog> logs,
                     std::vector<std::uint8_t>& out) {
   put<std::uint32_t>(out, static_cast<std::uint32_t>(logs.size()));
   for (const auto& log : logs) {
-    put<std::uint32_t>(out, log.mbox);
-    put<std::uint64_t>(out, log.dep.mask);
-    for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
-      if (log.dep.touches(p)) put<std::uint64_t>(out, log.dep.seq[p]);
-    }
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(log.writes.size()));
-    for (const auto& w : log.writes) {
-      put<std::uint64_t>(out, w.key);
-      put<std::uint8_t>(out, w.erase ? 1 : 0);
-      put<std::uint32_t>(out, static_cast<std::uint32_t>(w.value.size()));
-      append_pod_vec(out, w.value.data(), w.value.size());
-    }
+    const std::size_t at = out.size();
+    out.resize(at + log_size(log));
+    Writer w(out.data() + at);
+    write_log(w, log);
   }
 }
 
 bool deserialize_logs(std::span<const std::uint8_t>& in,
                       std::vector<PiggybackLog>& out) {
+  std::vector<WireLog> wire;
+  if (!parse_logs(in, wire)) return false;
+  out.reserve(out.size() + wire.size());
+  for (const auto& log : wire) out.push_back(materialize_log(log));
+  return true;
+}
+
+bool parse_logs(std::span<const std::uint8_t>& in, std::vector<WireLog>& out) {
   std::uint32_t count = 0;
   if (!take(in, count)) return false;
-  out.reserve(out.size() + count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    PiggybackLog log;
-    if (!take(in, log.mbox) || !take(in, log.dep.mask)) return false;
-    for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
-      if (log.dep.touches(p) && !take(in, log.dep.seq[p])) return false;
-    }
-    std::uint32_t writes = 0;
-    if (!take(in, writes)) return false;
-    for (std::uint32_t wi = 0; wi < writes; ++wi) {
-      state::StateUpdate u;
-      std::uint8_t erase = 0;
-      std::uint32_t len = 0;
-      if (!take(in, u.key) || !take(in, erase) || !take(in, len) ||
-          in.size() < len) {
-        return false;
-      }
-      u.erase = erase != 0;
-      u.value.assign({in.data(), len});
-      in = in.subspan(len);
-      log.writes.push_back(std::move(u));
-    }
-    out.push_back(std::move(log));
+    WireLog log;
+    if (!decode_wire_log(in, log)) return false;
+    in = in.subspan(log.wire_size);
+    out.push_back(log);
   }
   return true;
+}
+
+std::size_t wire_log_size(const PiggybackLog& log) noexcept {
+  return log_size(log);
+}
+
+void write_wire_log(const PiggybackLog& log, std::uint8_t* out) noexcept {
+  Writer w(out);
+  write_log(w, log);
 }
 
 PiggybackLog materialize_log(const WireLog& wire) {
@@ -335,6 +326,48 @@ struct Layout {
   std::uint16_t num_partitions{0};
 };
 
+/// Validates the log record at @p b (@p avail bytes readable) and returns
+/// its size, or 0 when it is malformed or runs past @p avail.
+std::size_t scan_log(const std::uint8_t* b, std::size_t avail) noexcept {
+  if (avail < 12) return 0;
+  std::uint64_t mask = 0;
+  std::memcpy(&mask, b + 4, 8);
+  // Bits beyond the partition range would desynchronize the sequence
+  // array length between writer and reader: reject as malformed.
+  if ((mask >> state::kMaxPartitions) != 0) return 0;
+  std::size_t need = 12 + 8 * static_cast<std::size_t>(std::popcount(mask));
+  if (avail < need + 2) return 0;
+  std::uint16_t write_count = 0;
+  std::memcpy(&write_count, b + need, 2);
+  need += 2;
+  for (std::uint16_t wi = 0; wi < write_count; ++wi) {
+    if (avail < need + 10) return 0;
+    std::uint16_t len_flags = 0;
+    std::memcpy(&len_flags, b + need + 8, 2);
+    need += 10 + (len_flags & kLenMask);
+    if (avail < need) return 0;
+  }
+  return need;
+}
+
+/// Decodes the header of the validated @p size-byte record at @p b.
+WireLog decode_log(const std::uint8_t* b, std::size_t size) noexcept {
+  WireLog out;
+  out.bytes = b;
+  std::memcpy(&out.mbox, b, 4);
+  std::memcpy(&out.dep.mask, b + 4, 8);
+  const std::uint8_t* cursor = b + 12;
+  for (std::uint64_t m = out.dep.mask; m != 0; m &= m - 1) {
+    const auto pidx = static_cast<std::size_t>(std::countr_zero(m));
+    std::memcpy(&out.dep.seq[pidx], cursor, 8);
+    cursor += 8;
+  }
+  std::memcpy(&out.write_count, cursor, 2);
+  out.writes = cursor + 2;
+  out.wire_size = static_cast<std::uint32_t>(size);
+  return out;
+}
+
 /// Validates the message whose footer ends at data + size — footer, header,
 /// every log and write bound, the commit-region width — and records each
 /// log's body offset. One walk; callers are bounds-check-free afterwards.
@@ -357,24 +390,8 @@ bool scan_message(const std::uint8_t* data, std::size_t size, Layout& out,
 
   std::size_t off = kWireHeaderSize;
   for (std::uint16_t i = 0; i < log_count; ++i) {
-    if (body_len - off < 12) return false;
-    std::uint64_t mask = 0;
-    std::memcpy(&mask, b + off + 4, 8);
-    // Bits beyond the partition range would desynchronize the sequence
-    // array length between writer and reader: reject as malformed.
-    if ((mask >> state::kMaxPartitions) != 0) return false;
-    std::size_t need = 12 + 8 * static_cast<std::size_t>(std::popcount(mask));
-    if (body_len - off < need + 2) return false;
-    std::uint16_t write_count = 0;
-    std::memcpy(&write_count, b + off + need, 2);
-    need += 2;
-    for (std::uint16_t wi = 0; wi < write_count; ++wi) {
-      if (body_len - off < need + 10) return false;
-      std::uint16_t len_flags = 0;
-      std::memcpy(&len_flags, b + off + need + 8, 2);
-      need += 10 + (len_flags & kLenMask);
-      if (body_len - off < need) return false;
-    }
+    const std::size_t need = scan_log(b + off, body_len - off);
+    if (need == 0) return false;
     log_off.push_back(static_cast<std::uint32_t>(off));
     off += need;
   }
@@ -427,22 +444,14 @@ PiggybackView PiggybackView::create(pkt::Packet& p, std::size_t num_partitions) 
 }
 
 WireLog PiggybackView::log(std::size_t i) const noexcept {
-  const std::uint8_t* b = body() + log_off_[i];
-  WireLog out;
-  std::memcpy(&out.mbox, b, 4);
-  std::memcpy(&out.dep.mask, b + 4, 8);
-  const std::uint8_t* cursor = b + 12;
-  for (std::uint64_t m = out.dep.mask; m != 0; m &= m - 1) {
-    const auto pidx = static_cast<std::size_t>(std::countr_zero(m));
-    std::memcpy(&out.dep.seq[pidx], cursor, 8);
-    cursor += 8;
-  }
-  std::memcpy(&out.write_count, cursor, 2);
-  out.writes = cursor + 2;
-  const std::uint32_t end =
-      i + 1 < log_off_.size() ? log_off_[i + 1] : logs_end_;
-  out.wire_size = end - log_off_[i];
-  return out;
+  return decode_log(body() + log_off_[i], log_start(i + 1) - log_off_[i]);
+}
+
+bool decode_wire_log(std::span<const std::uint8_t> in, WireLog& out) noexcept {
+  const std::size_t size = scan_log(in.data(), in.size());
+  if (size == 0) return false;
+  out = decode_log(in.data(), size);
+  return true;
 }
 
 bool PiggybackView::has_logs_of(MboxId mbox) const noexcept {
@@ -569,18 +578,34 @@ void PiggybackView::copy_logs(std::size_t first, std::size_t last,
   std::memcpy(out + body_len + 4, &kFooterMagic, 4);
 }
 
-bool PiggybackView::append_log(const PiggybackLog& log) {
-  const std::size_t need = log_size(log);
-  if (p_->tailroom() < need) return false;
+std::uint8_t* PiggybackView::grow_logs(std::size_t need) {
+  if (p_->tailroom() < need) return nullptr;
   p_->push_back(need);
   std::uint8_t* commits_begin = body() + logs_end_;
   std::memmove(commits_begin + need, commits_begin,
                (body_len_ - logs_end_) + kFooterSize);
-  Writer w(commits_begin);
-  write_log(w, log);
   log_off_.push_back(logs_end_);
   logs_end_ += static_cast<std::uint32_t>(need);
   body_len_ += static_cast<std::uint32_t>(need);
+  return commits_begin;
+}
+
+bool PiggybackView::append_log(const PiggybackLog& log) {
+  std::uint8_t* at = grow_logs(log_size(log));
+  if (at == nullptr) return false;
+  Writer w(at);
+  write_log(w, log);
+  sync_header_footer();
+  return true;
+}
+
+bool PiggybackView::append_wire_log(std::span<const std::uint8_t> record) {
+  if (record.empty() || scan_log(record.data(), record.size()) != record.size()) {
+    return false;
+  }
+  std::uint8_t* at = grow_logs(record.size());
+  if (at == nullptr) return false;
+  std::memcpy(at, record.data(), record.size());
   sync_header_footer();
   return true;
 }

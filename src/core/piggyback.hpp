@@ -122,10 +122,19 @@ bool has_message(const pkt::Packet& p) noexcept;
 std::optional<PiggybackMessage> extract_message(pkt::Packet& p);
 
 /// --- Out-of-band log serialization (retransmissions, state fetch). ---
+///
+/// A u32 log count, then each log record exactly as it sits in a piggyback
+/// message, so a log history that keeps wire records serves both by
+/// copying bytes (LogHistory::copy_after).
 void serialize_logs(std::span<const PiggybackLog> logs,
                     std::vector<std::uint8_t>& out);
 bool deserialize_logs(std::span<const std::uint8_t>& in,
                       std::vector<PiggybackLog>& out);
+
+/// Wire size of @p log's record, and the record itself: what append_log
+/// writes into a message, written to @p out (wire_log_size(log) bytes).
+std::size_t wire_log_size(const PiggybackLog& log) noexcept;
+void write_wire_log(const PiggybackLog& log, std::uint8_t* out) noexcept;
 
 /// --- Zero-copy in-place processing (paper §5.1: "there is no need to
 /// actually strip and reattach it"). ---
@@ -134,6 +143,7 @@ bool deserialize_logs(std::span<const std::uint8_t>& in,
 /// tail for its write set. Valid only while the packet bytes it points
 /// into stay alive and unmoved.
 struct WireLog {
+  const std::uint8_t* bytes{nullptr};  ///< The record's first byte.
   MboxId mbox{0};
   DepVector dep{};
   const std::uint8_t* writes{nullptr};  ///< First serialized write.
@@ -159,9 +169,18 @@ void for_each_wire_write(const WireLog& log, Fn&& fn) {
   }
 }
 
-/// Copies one wire log into an owning PiggybackLog (history recording and
+/// Copies one wire log into an owning PiggybackLog (the materializing
 /// fallback paths, where the log must outlive the packet).
 PiggybackLog materialize_log(const WireLog& log);
+
+/// Validates the log record at the start of @p in and decodes its header
+/// into @p out (writes stay on the wire). False when @p in does not start
+/// with a whole, well-formed record.
+bool decode_wire_log(std::span<const std::uint8_t> in, WireLog& out) noexcept;
+
+/// Reads a serialize_logs() blob off the front of @p in as cursors into
+/// its bytes, consuming it. False (and @p in unspecified) when malformed.
+bool parse_logs(std::span<const std::uint8_t>& in, std::vector<WireLog>& out);
 
 /// Zero-copy cursor over the piggyback message serialized in a packet's
 /// tail. open() validates the whole message once — footer, header, every
@@ -219,6 +238,11 @@ class PiggybackView {
   /// tailroom cannot hold it.
   bool append_log(const PiggybackLog& log);
 
+  /// append_log() for a log record already in wire form (one memcpy).
+  /// Returns false — packet unmodified — when @p record is not one whole,
+  /// well-formed record or the tailroom cannot hold it.
+  bool append_wire_log(std::span<const std::uint8_t> record);
+
   /// Merges @p max componentwise into the commit vector of @p mbox, or
   /// appends it when absent. Returns false — packet unmodified — when an
   /// append would not fit the tailroom.
@@ -263,6 +287,11 @@ class PiggybackView {
   std::uint32_t log_start(std::size_t i) const noexcept {
     return i < log_off_.size() ? log_off_[i] : logs_end_;
   }
+  /// Opens @p need bytes at the end of the log region (commit region and
+  /// footer shifted up) and registers them as one more log; the caller
+  /// writes the record and syncs the header. Null when the tailroom is
+  /// short (nothing changed).
+  std::uint8_t* grow_logs(std::size_t need);
   /// Rewrites the header counts and the (possibly moved) footer.
   void sync_header_footer() noexcept;
   /// Byte offset of the commit entry of @p mbox in the body, or 0.

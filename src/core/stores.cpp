@@ -70,6 +70,18 @@ void serialize_store(state::StateStore& store, std::vector<std::uint8_t>& out) {
   std::memcpy(out.data() + len_at, &len, 4);
 }
 
+/// Writes the serialize_logs() blob that ends @p in into @p history.
+/// Restore runs before the node's workers start, so this thread is the
+/// history's only writer.
+bool restore_history(LogHistory& history, std::span<const std::uint8_t> in) {
+  std::vector<WireLog> logs;
+  if (!parse_logs(in, logs) || !in.empty()) return false;
+  for (const auto& log : logs) {
+    if (!history.record({log.bytes, log.wire_size})) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 void HeadStore::serialize(std::vector<std::uint8_t>& out) {
@@ -77,7 +89,7 @@ void HeadStore::serialize(std::vector<std::uint8_t>& out) {
   MaxVector deps;
   deps.seq = txn_ctx_.sequence_snapshot();
   put_vector(out, deps);
-  serialize_logs(history_.logs_after(MaxVector{}), out);
+  history_.copy_after(MaxVector{}, out);
 }
 
 bool HeadStore::deserialize(std::span<const std::uint8_t> in) {
@@ -90,10 +102,7 @@ bool HeadStore::deserialize(std::span<const std::uint8_t> in) {
   // Paper §5.2: the new head adopts the fetched MAX as its dependency
   // vector, so the next transactions continue the sequence numbers.
   txn_ctx_.restore_sequences(deps.seq);
-  std::vector<PiggybackLog> logs;
-  if (!deserialize_logs(in, logs)) return false;
-  for (const auto& log : logs) history_.record(log);
-  return in.empty();
+  return restore_history(history_, in);
 }
 
 void InOrderApplier::enable_shard_affine(const state::ShardMap* map,
@@ -212,15 +221,18 @@ InOrderApplier::Offer InOrderApplier::offer_shard(const PiggybackLog& log) {
     case LogFit::kApplicable:
       break;
   }
+  const std::size_t wire = wire_log_size(log);
+  if (!history_.reserve(wire)) return Offer::kHeld;
   std::uint64_t mine = 0;
   if (!route_portions(log.dep, pending, mine, nullptr, &log.writes)) {
+    history_.unreserve(wire);
     return Offer::kHeld;
   }
   if (mine != 0) {
     store_.apply_owner({log.writes.data(), log.writes.size()}, mine);
     advance_pseq(log.dep, mine);
   }
-  history_.record(log);
+  history_.record(log, true, wire);
   applied_.fetch_add(1, std::memory_order_release);
   return Offer::kApplied;
 }
@@ -235,8 +247,10 @@ InOrderApplier::Offer InOrderApplier::offer_shard_wire(const WireLog& log) {
     case LogFit::kApplicable:
       break;
   }
+  if (!history_.reserve(log.wire_size)) return Offer::kHeld;
   std::uint64_t mine = 0;
   if (!route_portions(log.dep, pending, mine, &log, nullptr)) {
+    history_.unreserve(log.wire_size);
     return Offer::kHeld;
   }
   if (mine != 0) {
@@ -250,7 +264,7 @@ InOrderApplier::Offer InOrderApplier::offer_shard_wire(const WireLog& log) {
     store_.apply_wire_owner({updates.data(), updates.size()}, mine);
     advance_pseq(log.dep, mine);
   }
-  history_.record(materialize_log(log));
+  history_.record({log.bytes, log.wire_size}, true, log.wire_size);
   applied_.fetch_add(1, std::memory_order_release);
   return Offer::kApplied;
 }
@@ -282,6 +296,7 @@ bool InOrderApplier::apply_handoff(StateHandoff& h) {
 
 InOrderApplier::Offer InOrderApplier::offer(const PiggybackLog& log) {
   if (shard_map_ != nullptr) return offer_shard(log);
+  const std::size_t wire = wire_log_size(log);
   {
     auto lock = lock_max_mutex(mutex_);
     switch (classify(max_, log.dep)) {
@@ -292,13 +307,14 @@ InOrderApplier::Offer InOrderApplier::offer(const PiggybackLog& log) {
       case LogFit::kApplicable:
         break;
     }
+    if (!history_.reserve(wire)) return Offer::kHeld;
     max_.advance(log.dep);
     // Apply inside the MAX mutex: the touched partitions' next logs only
     // become applicable after max_ advanced, and advancing before the
     // store write would let a dependent log overtake this one's writes.
     store_.apply(log.writes);
   }
-  history_.record(log);
+  history_.record(log, true, wire);
   applied_.fetch_add(1, std::memory_order_release);
   return Offer::kApplied;
 }
@@ -331,6 +347,10 @@ void InOrderApplier::offer_burst(std::span<const WireLog> logs,
         case LogFit::kApplicable:
           break;
       }
+      if (!history_.reserve(logs[i].wire_size)) {
+        results[i] = Offer::kHeld;  // No room until a commit prunes.
+        continue;
+      }
       max_.advance(logs[i].dep);
       for_each_wire_write(logs[i], [&](const state::WireUpdate& u) {
         updates.push_back(u);
@@ -344,11 +364,14 @@ void InOrderApplier::offer_burst(std::span<const WireLog> logs,
     if (!updates.empty()) store_.apply_wire({updates.data(), updates.size()});
   }
   if (n_applied != 0) {
-    // History needs owning copies (logs must outlive the packet); only
-    // applied logs pay the materialization, relayed ones never do.
-    for (std::size_t i = 0; i < logs.size(); ++i) {
-      if (results[i] == Offer::kApplied) {
-        history_.record(materialize_log(logs[i]));
+    // The history keeps the applied logs' wire bytes (a group's tail keeps
+    // none); relayed logs are never copied.
+    if (history_.enabled()) {
+      for (std::size_t i = 0; i < logs.size(); ++i) {
+        if (results[i] == Offer::kApplied) {
+          history_.record({logs[i].bytes, logs[i].wire_size}, true,
+                          logs[i].wire_size);
+        }
       }
     }
     applied_.fetch_add(n_applied, std::memory_order_release);
@@ -358,7 +381,7 @@ void InOrderApplier::offer_burst(std::span<const WireLog> logs,
 void InOrderApplier::serialize(std::vector<std::uint8_t>& out) {
   serialize_store(store_, out);
   put_vector(out, max());
-  serialize_logs(history_.logs_after(MaxVector{}), out);
+  history_.copy_after(MaxVector{}, out);
 }
 
 bool InOrderApplier::deserialize(std::span<const std::uint8_t> in) {
@@ -368,8 +391,8 @@ bool InOrderApplier::deserialize(std::span<const std::uint8_t> in) {
   in = in.subspan(store_len);
   MaxVector restored;
   if (!take_vector(in, restored)) return false;
-  std::vector<PiggybackLog> logs;
-  if (!deserialize_logs(in, logs)) return false;
+  // A tail keeps no history: the restored logs are validated and dropped.
+  if (!restore_history(history_, in)) return false;
   {
     LockGuard lock(mutex_);
     max_ = restored;
@@ -382,9 +405,8 @@ bool InOrderApplier::deserialize(std::span<const std::uint8_t> in) {
       enq_seq_[p].store(restored.seq[p], std::memory_order_release);
     }
   }
-  for (const auto& log : logs) history_.record(log);
   applied_.fetch_add(1, std::memory_order_release);
-  return in.empty();
+  return true;
 }
 
 }  // namespace sfc::ftc

@@ -9,13 +9,13 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
 #include "base/mutex.hpp"
 #include "core/config.hpp"
 #include "core/dep_vector.hpp"
+#include "core/log_history.hpp"
 #include "core/piggyback.hpp"
 #include "state/handoff_ring.hpp"
 #include "state/shard_map.hpp"
@@ -38,54 +38,6 @@ struct StateHandoff {
 
 using StateHandoffMesh = state::HandoffMesh<StateHandoff>;
 
-/// Bounded per-store history of piggyback logs, kept for retransmission to
-/// successors; pruned by commit vectors (paper §4.1/§5.1) and bounded by
-/// capacity as a backstop for group members that never see the commit.
-class LogHistory {
- public:
-  explicit LogHistory(std::size_t capacity) : capacity_(capacity) {}
-
-  void record(const PiggybackLog& log) {
-    LockGuard lock(mutex_);
-    logs_.push_back(log);
-    if (logs_.size() > capacity_) logs_.pop_front();
-  }
-
-  void record(PiggybackLog&& log) {
-    LockGuard lock(mutex_);
-    logs_.push_back(std::move(log));
-    if (logs_.size() > capacity_) logs_.pop_front();
-  }
-
-  /// Drops every log covered by @p commit.
-  void prune(const MaxVector& commit) {
-    LockGuard lock(mutex_);
-    while (!logs_.empty() && commit.covers(logs_.front().dep)) {
-      logs_.pop_front();
-    }
-  }
-
-  /// Logs not yet covered by @p from, in order (the retransmission body).
-  std::vector<PiggybackLog> logs_after(const MaxVector& from) const {
-    LockGuard lock(mutex_);
-    std::vector<PiggybackLog> out;
-    for (const auto& log : logs_) {
-      if (!from.covers(log.dep)) out.push_back(log);
-    }
-    return out;
-  }
-
-  std::size_t size() const {
-    LockGuard lock(mutex_);
-    return logs_.size();
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable Mutex mutex_{ranks::kLeaf, "ftc.log_history"};
-  std::deque<PiggybackLog> logs_ SFC_GUARDED_BY(mutex_);
-};
-
 /// The head side of one middlebox's replication group (paper §4.1): the
 /// authoritative store, the transactional runtime, and the history of logs
 /// this head has emitted.
@@ -95,11 +47,19 @@ class HeadStore : rt::NonCopyable {
       : mbox_(mbox),
         store_(cfg.num_partitions),
         txn_ctx_(store_),
-        history_(cfg.history_capacity) {}
+        history_(cfg.history_capacity, shared_history(cfg)) {}
 
   MboxId mbox() const noexcept { return mbox_; }
   state::StateStore& store() noexcept { return store_; }
   state::TxnContext& txn_ctx() noexcept { return txn_ctx_; }
+
+  /// Whether the history has writers besides one data worker: several
+  /// workers, or the control thread finishing parked packets (locked mode,
+  /// or no appliers to shard) after a NACK reply.
+  static bool shared_history(const ChainConfig& cfg) noexcept {
+    return cfg.threads_per_node > 1 || cfg.ownership == Ownership::kLocked ||
+           cfg.f == 0;
+  }
 
   /// Shard-affine head: the single data worker commits transactions
   /// lock-free (store owner path + txn fast path). Only valid when exactly
@@ -109,15 +69,23 @@ class HeadStore : rt::NonCopyable {
     txn_ctx_.enable_shard_affine();
   }
 
-  /// Converts a committed transaction into this middlebox's piggyback log
-  /// and records it for retransmission.
-  PiggybackLog make_log(state::TxnRecord&& record) {
+  /// Converts a committed transaction into this middlebox's piggyback log.
+  /// The zero-copy path records the log's wire bytes once it sits on the
+  /// packet (history().record).
+  PiggybackLog log_of(state::TxnRecord&& record) const {
     PiggybackLog log;
     log.mbox = mbox_;
     log.dep.mask = record.touched_mask;
     log.dep.seq = record.seqs;
     log.writes = std::move(record.writes);
-    history_.record(log);
+    return log;
+  }
+
+  /// log_of() plus recording it for retransmission (materializing path),
+  /// consuming a history().reserve() claim when @p claimed.
+  PiggybackLog make_log(state::TxnRecord&& record, bool claimed = false) {
+    PiggybackLog log = log_of(std::move(record));
+    history_.record(log, claimed);
     return log;
   }
 
@@ -142,10 +110,16 @@ class HeadStore : rt::NonCopyable {
 /// partial order defined by dependency vectors (paper §4.3, Fig. 3).
 class InOrderApplier : rt::NonCopyable {
  public:
-  InOrderApplier(MboxId mbox, const ChainConfig& cfg)
+  /// @param keeps_history  False for the group's tail: its own commit
+  ///                        prunes every log it applies on the same packet,
+  ///                        and no position asks a tail to retransmit. A
+  ///                        history that is kept (a middle replica's, f >=
+  ///                        2) is shared: the control thread replays NACK
+  ///                        replies into it beside the data workers.
+  InOrderApplier(MboxId mbox, const ChainConfig& cfg, bool keeps_history = true)
       : mbox_(mbox),
         store_(cfg.num_partitions),
-        history_(cfg.history_capacity) {}
+        history_(keeps_history ? cfg.history_capacity : 0, true) {}
 
   MboxId mbox() const noexcept { return mbox_; }
   state::StateStore& store() noexcept { return store_; }
@@ -161,9 +135,10 @@ class InOrderApplier : rt::NonCopyable {
 
   enum class Offer : std::uint8_t { kApplied, kDuplicate, kHeld };
 
-  /// Attempts to apply @p log. kHeld means a predecessor log is missing
-  /// (the caller parks the packet). Applied logs are recorded in the
-  /// history for retransmission to this replica's own successor.
+  /// Attempts to apply @p log. kHeld means a predecessor log is missing,
+  /// or the history has no room for it (the caller parks the packet).
+  /// Applied logs are recorded in the history for retransmission to this
+  /// replica's own successor.
   Offer offer(const PiggybackLog& log);
 
   /// Wire-path offer(): classifies a whole burst's logs (cursors into

@@ -38,7 +38,7 @@ constexpr const char* kCounterNames[kProfCounterCount] = {
     "applier_mutex_acquire",  "applier_mutex_contended",
     "pool_alloc_failure",     "pool_free_retry",
     "send_retry",             "owner_miss",
-    "handoff_push",
+    "handoff_push",           "heap_alloc",
 };
 
 double safe_div(double num, double den) { return den > 0 ? num / den : 0.0; }

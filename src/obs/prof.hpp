@@ -13,7 +13,9 @@
 // Quiet mode turns steady-state invariants into hard assertions: once
 // armed (after warmup), any pool-allocation failure, pool free-retry,
 // contended partition-lock acquisition, contended applier MAX-mutex
-// acquisition, or blocking-send retry is recorded as a violation. Callers
+// acquisition, blocking-send retry, or heap allocation inside a data
+// worker's burst (counted per thread by the replaced operator new) is
+// recorded as a violation. Callers
 // (sfc_cli --quiet-assert, the budget-gate bench) dump the span flight
 // recorder and fail the run when violations exist.
 #pragma once
@@ -80,8 +82,9 @@ enum class ProfCounter : std::uint8_t {
   kSendRetry,              // violation: send_blocking spun on a full ring
   kOwnerMiss,              // violation: shard-affine txn on a non-owner thread
   kHandoffPush,            // cross-shard write handed to the owning worker
+  kHeapAlloc,              // violation: a data-worker burst allocated
 };
-inline constexpr std::size_t kProfCounterCount = 9;
+inline constexpr std::size_t kProfCounterCount = 10;
 
 const char* prof_counter_name(ProfCounter c) noexcept;
 
@@ -294,6 +297,11 @@ inline ProfSlot* prof_slot() noexcept {
   if (SFC_UNLIKELY(p != nullptr)) return p->auto_slot();
   return nullptr;
 }
+
+/// Heap allocations (operator new, any form) the calling thread has made.
+/// The library replaces the global operator new/delete to count them; a
+/// data worker compares two readings around a burst (quiet mode).
+std::uint64_t thread_heap_allocs() noexcept;
 
 /// Bumps @p c on the installed profiler, if any. Single branch when
 /// disabled.

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "core/stores.hpp"
+#include "packet/packet_io.hpp"
 
 namespace sfc::ftc {
 namespace {
@@ -84,10 +85,14 @@ TEST(InOrderApplier, MaxTracksAppliedLogs) {
 }
 
 TEST(InOrderApplier, ConcurrentDisjointAppliesAllLand) {
-  const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 2000;
+  // Several applying threads share the history (its lock), and no commit
+  // prunes it here: it must hold every log.
+  auto cfg = test_cfg();
+  cfg.threads_per_node = kThreads;
+  cfg.history_capacity = kThreads * kPerThread;
+  InOrderApplier a(0, cfg);
 
   // Pick one key per thread, all in distinct partitions.
   std::vector<state::Key> keys;
@@ -128,18 +133,31 @@ TEST(InOrderApplier, EraseLogsApply) {
   EXPECT_FALSE(a.store().get(k).has_value());
 }
 
+/// The logs a copy_after() blob holds.
+std::vector<PiggybackLog> logs_of(const std::vector<std::uint8_t>& blob) {
+  std::span<const std::uint8_t> in(blob);
+  std::vector<PiggybackLog> out;
+  EXPECT_TRUE(deserialize_logs(in, out));
+  EXPECT_TRUE(in.empty());
+  return out;
+}
+
 TEST(LogHistory, RecordsAndServesRetransmissions) {
   LogHistory h(10);
   state::StateStore probe(16);
-  for (std::uint64_t s = 1; s <= 5; ++s) h.record(log_for(probe, 7, s, s));
+  for (std::uint64_t s = 1; s <= 5; ++s) {
+    EXPECT_TRUE(h.record(log_for(probe, 7, s, s)));
+  }
   EXPECT_EQ(h.size(), 5u);
 
   MaxVector have;
   have.seq[probe.partition_of(7)] = 3;
-  const auto missing = h.logs_after(have);
+  std::vector<std::uint8_t> blob;
+  h.copy_after(have, blob);
+  const auto missing = logs_of(blob);
   ASSERT_EQ(missing.size(), 2u);
-  EXPECT_EQ(missing[0].dep.seq[probe.partition_of(7)], 4u);
-  EXPECT_EQ(missing[1].dep.seq[probe.partition_of(7)], 5u);
+  EXPECT_EQ(missing[0], log_for(probe, 7, 4, 4));
+  EXPECT_EQ(missing[1], log_for(probe, 7, 5, 5));
 }
 
 TEST(LogHistory, PruneDropsCoveredPrefix) {
@@ -152,11 +170,111 @@ TEST(LogHistory, PruneDropsCoveredPrefix) {
   EXPECT_EQ(h.size(), 2u);
 }
 
+// A full ring refuses new records instead of evicting old ones: the logs a
+// successor may still ask for stay until a commit covers them.
 TEST(LogHistory, CapacityBounded) {
-  LogHistory h(4);
+  LogHistory h(4);  // 4 cache lines: five 40-byte records.
   state::StateStore probe(16);
-  for (std::uint64_t s = 1; s <= 100; ++s) h.record(log_for(probe, 7, s, s));
+  std::uint64_t recorded = 0;
+  for (std::uint64_t s = 1; s <= 100; ++s) {
+    if (h.record(log_for(probe, 7, s, s))) ++recorded;
+  }
+  EXPECT_EQ(recorded, 5u);
+  EXPECT_EQ(h.size(), 5u);
+  EXPECT_FALSE(h.reserve(64));
+  EXPECT_EQ(h.full_waits(), 1u);
+  std::vector<std::uint8_t> blob;
+  h.copy_after(MaxVector{}, blob);
+  const auto kept = logs_of(blob);
+  ASSERT_EQ(kept.size(), 5u);
+  EXPECT_EQ(kept.front(), log_for(probe, 7, 1, 1));  // Nothing evicted.
+
+  // Only a commit frees room.
+  MaxVector commit;
+  commit.seq[probe.partition_of(7)] = 2;
+  h.prune(commit);
+  EXPECT_TRUE(h.reserve(64));
+  EXPECT_TRUE(h.record(log_for(probe, 7, 6, 6), true, 64));
   EXPECT_EQ(h.size(), 4u);
+}
+
+// The ring's words are written and read across its end, and across the
+// moves of its active span as the live window grows: every record reads
+// back as written, in order.
+TEST(LogHistory, WrapsAndGrowsWithoutLosingRecords) {
+  LogHistory h(1024);
+  state::StateStore probe(16);
+  std::uint64_t next = 1;
+  std::uint64_t oldest = 1;
+  for (int round = 0; round < 300; ++round) {
+    // The window grows to 150 live records (past the first span), then
+    // shrinks to none.
+    const std::uint64_t add = round < 150 ? 3 : 1;
+    for (std::uint64_t i = 0; i < add; ++i, ++next) {
+      PiggybackLog log = log_for(probe, 7, next, next);
+      log.writes.push_back({9, state::Bytes::of(next * 3), round % 7 == 0});
+      ASSERT_TRUE(h.reserve(wire_log_size(log)));
+      ASSERT_TRUE(h.record(log, true, wire_log_size(log)));
+    }
+    MaxVector commit;
+    commit.seq[probe.partition_of(7)] = oldest + 1;
+    h.prune(commit);
+    oldest += 2;
+    std::vector<std::uint8_t> blob;
+    h.copy_after(MaxVector{}, blob);
+    const auto live = logs_of(blob);
+    ASSERT_EQ(live.size(), next - oldest);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      ASSERT_EQ(live[i].dep.seq[probe.partition_of(7)], oldest + i);
+      ASSERT_EQ(live[i].writes.back().value.as<std::uint64_t>(),
+                (oldest + i) * 3);
+    }
+  }
+}
+
+// The head records the wire bytes it appended to the packet; a NACK reply
+// copied out of the ring is byte-for-byte the serialize_logs() body of the
+// materialized logs the requester lacks.
+TEST(LogHistory, NackReplyFromRingMatchesSerializedLogs) {
+  LogHistory h(1024);
+  std::vector<PiggybackLog> logs;
+  for (std::uint64_t i = 1; i <= 12; ++i) {
+    PiggybackLog log;
+    log.mbox = 3;
+    log.dep.mask = (1ULL << (i % 4)) | (i % 3 == 0 ? 1ULL << 9 : 0);
+    for (std::size_t p = 0; p < 16; ++p) {
+      if (log.dep.touches(p)) log.dep.seq[p] = i;
+    }
+    std::vector<std::uint8_t> value(i * 5, static_cast<std::uint8_t>(i));
+    log.writes.push_back({i, state::Bytes(value.data(), value.size()), false});
+    if (i % 5 == 0) log.writes.push_back({i + 100, state::Bytes{}, true});
+    logs.push_back(log);
+  }
+  pkt::Packet p;
+  pkt::PacketBuilder(p).udp(
+      pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+  PiggybackView v = PiggybackView::create(p, 16);
+  ASSERT_TRUE(v.ok());
+  for (const auto& log : logs) {
+    ASSERT_TRUE(v.append_log(log));
+    const WireLog appended = v.log(v.log_count() - 1);
+    ASSERT_TRUE(h.reserve());
+    ASSERT_TRUE(h.record({appended.bytes, appended.wire_size}, true));
+  }
+
+  MaxVector from;  // The requester has partitions 1 and 9 up to seq 6.
+  from.seq[1] = 6;
+  from.seq[9] = 6;
+  std::vector<PiggybackLog> missing;
+  for (const auto& log : logs) {
+    if (!from.covers(log.dep)) missing.push_back(log);
+  }
+  ASSERT_LT(missing.size(), logs.size());
+  std::vector<std::uint8_t> oracle;
+  serialize_logs(missing, oracle);
+  std::vector<std::uint8_t> reply;
+  h.copy_after(from, reply);
+  EXPECT_EQ(reply, oracle);
 }
 
 TEST(ApplierTransfer, SerializeDeserializeRestoresStoreAndMax) {

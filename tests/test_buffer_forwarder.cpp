@@ -4,6 +4,7 @@
 // propagating packets.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
 #include <random>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "core/buffer.hpp"
 #include "core/forwarder.hpp"
 #include "packet/packet_io.hpp"
+#include "runtime/clock.hpp"
 
 namespace sfc::ftc {
 namespace {
@@ -103,6 +105,38 @@ TEST(EgressBuffer, HoldsUntilCommitCovers) {
     rig.pool.free_raw(p);
   }
   EXPECT_EQ(released, 2);
+}
+
+// A hold keeps its logs' dependencies inline; one with more than fit
+// (here six logs) keeps them all in its spill and still releases exactly
+// when a commit covers every one.
+TEST(EgressBuffer, HoldWithManyLogsReleasesOnlyWhenAllCovered) {
+  Rig rig;
+  PiggybackMessage msg;
+  for (std::size_t part = 0; part < 6; ++part) {
+    msg.logs.push_back(rig.log_for(2, part, 10 + part));
+  }
+  rig.buffer.submit(rig.data_packet(1), std::move(msg));
+  rig.buffer.submit(rig.data_packet(2), PiggybackMessage{});  // Behind it.
+  EXPECT_EQ(rig.buffer.held_count(), 1u);
+
+  MaxVector commit;
+  for (std::size_t part = 0; part < 6; ++part) commit.seq[part] = 10 + part;
+  commit.seq[5] = 14;  // One short on the last log.
+  CommitVector cv{2, commit};
+  rig.buffer.absorb({&cv, 1});
+  rig.buffer.release_eligible();
+  EXPECT_EQ(rig.buffer.held_count(), 1u);
+  cv.max.seq[5] = 15;
+  rig.buffer.absorb({&cv, 1});
+  rig.buffer.release_eligible();
+  EXPECT_EQ(rig.buffer.held_count(), 0u);
+  std::vector<std::uint64_t> ids;
+  while (pkt::Packet* p = rig.egress.poll()) {
+    ids.push_back(p->anno().packet_id);
+    rig.pool.free_raw(p);
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{2, 1}));
 }
 
 TEST(EgressBuffer, InsufficientCommitKeepsHolding) {
@@ -262,6 +296,105 @@ TEST(FeedbackChannel, LogLargerThanAnyPacketIsCountedAndDropped) {
   EXPECT_EQ(pop_all(feedback, pool, records), expected);
   EXPECT_EQ(records, 2u);
   EXPECT_EQ(feedback.oversize_drops(), 1u);
+}
+
+// A hand-off into a full channel waits (counted) until the forwarder pops,
+// and nothing is lost or reordered.
+TEST(FeedbackChannel, FullQueueWaitsCountedAndLosesNothing) {
+  pkt::PacketPool pool(8);
+  FeedbackChannel feedback(pool, kParts, /*capacity=*/4);
+  const auto message = [](std::uint64_t seq) {
+    PiggybackMessage m;
+    m.logs.push_back(log_with_value(1, seq, 8));
+    return m;
+  };
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) feedback.push(message(seq));
+  EXPECT_EQ(feedback.full_waits(), 0u);
+
+  std::atomic<int> pushed{0};
+  std::thread producer([&] {
+    for (std::uint64_t seq = 5; seq <= 6; ++seq) {
+      feedback.push(message(seq));
+      pushed.fetch_add(1);
+    }
+  });
+  const auto deadline = rt::now_ns() + 5'000'000'000ull;
+  while (feedback.full_waits() == 0 && rt::now_ns() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(feedback.full_waits(), 1u);
+  EXPECT_EQ(pushed.load(), 0);  // Still waiting: the queue is full.
+
+  // Each pop lets the producer go on; every message arrives, in order.
+  std::vector<PiggybackMessage> got;
+  while (got.size() < 6 && rt::now_ns() < deadline) {
+    if (auto m = pop_message(feedback, pool)) {
+      got.push_back(std::move(*m));
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  producer.join();
+  EXPECT_EQ(pushed.load(), 2);
+  ASSERT_EQ(got.size(), 6u);
+  for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+    EXPECT_EQ(got[seq - 1], message(seq));
+  }
+  EXPECT_GE(feedback.full_waits(), 1u);
+}
+
+// Returned commits: the buffer publishes each advance of a returning
+// middlebox's commit into its slot, the forwarder merges the latest value
+// into the next packet once, and a value that comes around again is not
+// published twice — so a returned commit cannot circulate.
+TEST(EgressBuffer, ReturnsAdvancedCommitsOnce) {
+  pkt::PacketPool pool(64);
+  net::Link egress{pool, net::LinkConfig{}};
+  // Ring of two, f = 1: middlebox 0's tail (position 1) is downstream of
+  // its head, middlebox 1's (position 0) is not.
+  FeedbackChannel feedback(pool, kParts, 1024,
+                           FeedbackChannel::commit_returns_for(2, 2, 1));
+  EXPECT_TRUE(feedback.returns_commit(0));
+  EXPECT_FALSE(feedback.returns_commit(1));
+  EgressBuffer buffer(pool, egress, feedback);
+  ChainConfig cfg;
+  cfg.num_partitions = kParts;
+  Forwarder fwd(feedback, cfg, pool);
+
+  MaxVector c0;
+  c0.seq[2] = 7;
+  MaxVector c1;
+  c1.seq[3] = 9;
+  const CommitVector commits[] = {{0, c0}, {1, c1}};
+  buffer.absorb(commits);
+  EXPECT_TRUE(feedback.commit_pending());
+
+  const auto splice_onto_fresh_packet = [&] {
+    pkt::Packet p;
+    pkt::PacketBuilder(p).udp(
+        pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 64);
+    PiggybackView view;
+    pkt::Packet* extra[2];
+    EXPECT_EQ(fwd.splice(p, view, extra), 0u);
+    return message_of(p);
+  };
+  const PiggybackMessage first = splice_onto_fresh_packet();
+  ASSERT_EQ(first.commits.size(), 1u);  // Middlebox 1's never returns.
+  EXPECT_EQ(first.commits[0], (CommitVector{0, c0}));
+  EXPECT_FALSE(feedback.commit_pending());
+  EXPECT_TRUE(splice_onto_fresh_packet().empty());  // Consumed once.
+
+  // The returned commit reaches the buffer again: no advance, no publish.
+  buffer.absorb(commits);
+  EXPECT_FALSE(feedback.commit_pending());
+  // An advance is published, and only the latest value rides.
+  c0.seq[2] = 8;
+  buffer.absorb({{CommitVector{0, c0}}});
+  c0.seq[5] = 1;
+  buffer.absorb({{CommitVector{0, c0}}});
+  const PiggybackMessage second = splice_onto_fresh_packet();
+  ASSERT_EQ(second.commits.size(), 1u);
+  EXPECT_EQ(second.commits[0].max, c0);
 }
 
 TEST(EgressBuffer, AbsorbWithoutSubmit) {

@@ -2,13 +2,16 @@
 // real traffic, state replication invariants, loss and reordering.
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "core/chain.hpp"
 #include "mbox/firewall.hpp"
 #include "mbox/gen.hpp"
 #include "mbox/monitor.hpp"
 #include "mbox/nat.hpp"
+#include "packet/packet_io.hpp"
 #include "tgen/traffic.hpp"
 
 namespace sfc::ftc {
@@ -43,8 +46,9 @@ ChainRuntime::Spec spec_for(ChainMode mode, std::size_t chain_len,
 }
 
 void pump_and_wait(ChainRuntime& chain, std::uint64_t packets,
-                   const tgen::Workload& workload) {
-  tgen::TrafficSource source(chain.pool(), chain.ingress(), workload);
+                   const tgen::Workload& workload, double rate_pps = 0.0) {
+  tgen::TrafficSource source(chain.pool(), chain.ingress(), workload,
+                             rate_pps);
   tgen::TrafficSink sink(chain.pool(), chain.egress());
   sink.start();
   source.start();
@@ -176,7 +180,11 @@ TEST(FtcChain, TailroomFallbacksStillRecordSplicedLogs) {
   tgen::Workload w;
   w.frame_len = pkt::Packet::kCapacity - pkt::Packet::kDefaultHeadroom -
                 Forwarder::kSpliceRoom + 1;
-  pump_and_wait(chain, 1000, w);
+  // Paced, so ingress packets keep arriving while feedback is pending: an
+  // unpaced source injects the whole pool in one wave, and when the
+  // ingress finishes it before the first record exists, every record
+  // rides an idle propagating packet and no ingress packet meets one.
+  pump_and_wait(chain, 1000, w, 20'000.0);
   wait_for_convergence(chain, 5'000'000'000ull);
   EXPECT_GT(chain.forwarder()->tailroom_fallbacks(), 0u);
   double logs = 0;
@@ -204,6 +212,102 @@ TEST(FtcChain, IdleChainReadsQuiescentOnEveryCall) {
   EXPECT_EQ(busy, 0);
   chain.stop();
 }
+
+/// Pushes @p packets (ids 1..packets, at most @p window in flight)
+/// through @p chain from this thread and drains the egress; returns how
+/// many times each id left the chain (index = id).
+std::vector<int> push_exactly(ChainRuntime& chain, std::uint64_t packets,
+                              std::uint64_t window = 128) {
+  std::vector<int> seen(packets + 1, 0);
+  tgen::Workload w;
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+  const auto deadline = rt::now_ns() + 60'000'000'000ull;
+  pkt::Packet* out[64];
+  while (received < packets && rt::now_ns() < deadline) {
+    while (sent < packets && sent - received < window) {
+      pkt::Packet* p = chain.pool().alloc_raw();
+      if (p == nullptr) break;
+      pkt::PacketBuilder(*p).udp(w.flow(sent % w.num_flows), w.frame_len);
+      p->anno().packet_id = sent + 1;
+      if (!chain.ingress().send(p)) {
+        chain.pool().free_raw(p);
+        break;
+      }
+      ++sent;
+    }
+    const std::size_t got = chain.egress().poll_burst(out, 64);
+    for (std::size_t i = 0; i < got; ++i) {
+      const std::uint64_t id = out[i]->anno().packet_id;
+      if (id >= 1 && id <= packets) ++seen[id];
+      ++received;
+      chain.pool().free_raw(out[i]);
+    }
+    if (got == 0) std::this_thread::yield();
+  }
+  return seen;
+}
+
+/// Sum of a per-node gauge over the chain's registry.
+double gauge_sum(ChainRuntime& chain, std::string_view name) {
+  double sum = 0;
+  for (const auto& s : chain.registry().snapshot()) {
+    if (s.name == name) sum += s.value;
+  }
+  return sum;
+}
+
+// A history far too small for the traffic in flight backpressures its
+// head instead of evicting: every packet still leaves exactly once and the
+// replicas converge, with the waits counted.
+TEST(FtcChain, FullHistoryBackpressuresWithoutLoss) {
+  auto spec = spec_for(ChainMode::kFtc, 2);
+  spec.cfg.history_capacity = 8;
+  ChainRuntime chain(spec);
+  chain.start();
+  constexpr std::uint64_t kPackets = 3000;
+  const std::vector<int> seen = push_exactly(chain, kPackets);
+  for (std::uint64_t id = 1; id <= kPackets; ++id) {
+    ASSERT_EQ(seen[id], 1) << "packet " << id;
+  }
+  wait_for_convergence(chain, 10'000'000'000ull);
+  EXPECT_GT(gauge_sum(chain, "history.full_waits"), 0.0);
+  for (std::uint32_t m = 0; m < 2; ++m) {
+    auto* monitor = dynamic_cast<mbox::Monitor*>(chain.ftc_node(m)->middlebox());
+    const auto key = monitor->counter_key(0);
+    const auto head = chain.ftc_node(m)->head()->store().get(key);
+    const auto replica = chain.ftc_node(1 - m)->applier(m)->store().get(key);
+    ASSERT_TRUE(head.has_value());
+    ASSERT_TRUE(replica.has_value());
+    EXPECT_EQ(head->as<std::uint64_t>(), kPackets);
+    EXPECT_EQ(replica->as<std::uint64_t>(), kPackets);
+  }
+  chain.stop();
+}
+
+// Commit vectors return to the heads upstream of their tails, so once the
+// chain is quiescent no history holds a log: every one has been covered.
+class HistoryDrains : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HistoryDrains, HeadsHoldNoLogsAfterQuiescence) {
+  const std::size_t positions = GetParam();
+  ChainRuntime chain(spec_for(ChainMode::kFtc, positions));
+  chain.start();
+  constexpr std::uint64_t kPackets = 100'000;
+  const std::vector<int> seen = push_exactly(chain, kPackets);
+  std::uint64_t delivered = 0;
+  for (std::uint64_t id = 1; id <= kPackets; ++id) delivered += seen[id] == 1;
+  EXPECT_EQ(delivered, kPackets);
+  wait_for_convergence(chain, 10'000'000'000ull);
+  for (std::uint32_t m = 0; m < positions; ++m) {
+    EXPECT_EQ(chain.ftc_node(m)->head()->history().size(), 0u)
+        << "head of mbox " << m;
+  }
+  EXPECT_EQ(gauge_sum(chain, "history.full_waits"), 0.0);
+  chain.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Ring, HistoryDrains, ::testing::Values(2, 3));
 
 TEST(FtcChain, SingleMiddleboxChainExtendsRing) {
   // Chain of 1 middlebox with f=1 must extend to a ring of 2 (paper §5.1).

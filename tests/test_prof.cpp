@@ -6,6 +6,7 @@
 // ring health gauges.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -311,7 +312,31 @@ TEST(ProfQuiet, UncontendedPartitionLockStaysQuiet) {
 // profiler on and quiet mode armed at the warmup boundary. A clean steady
 // run must (a) attribute most of the workers' busy wall time to primary
 // stages and (b) raise no quiet violations — at burst 32 and at burst 1.
-void run_budget_chain(std::size_t burst) {
+/// A Monitor that also takes one heap allocation per packet: the kind of
+/// regression quiet mode must catch.
+class AllocatingMonitor final : public mbox::Middlebox {
+ public:
+  std::string_view name() const noexcept override { return "AllocMonitor"; }
+  mbox::Verdict process(state::Txn& txn, pkt::Packet& packet,
+                        pkt::ParsedPacket& parsed,
+                        mbox::ProcessContext& ctx) override {
+    sink_ = ::operator new(64);
+    ::operator delete(sink_);
+    return inner_.process(txn, packet, parsed, ctx);
+  }
+
+ private:
+  mbox::Monitor inner_{1};
+  void* volatile sink_{nullptr};
+};
+
+struct QuietRun {
+  BudgetReport report;
+  bool quiet_ok{false};  ///< Armed, and nothing violated.
+};
+
+/// Paced load through a Ch-2 Monitor chain, quiet mode armed after warmup.
+QuietRun run_quiet_chain(std::size_t burst, bool allocate) {
   ftc::ChainRuntime::Spec spec;
   spec.mode = ftc::ChainMode::kFtc;
   spec.cfg.f = 1;
@@ -319,13 +344,15 @@ void run_budget_chain(std::size_t burst) {
   spec.cfg.profile = true;
   spec.cfg.quiet_assert = true;
   for (int i = 0; i < 2; ++i) {
-    spec.mbox_factories.push_back(
-        [] { return std::unique_ptr<mbox::Middlebox>(new mbox::Monitor(1)); });
+    spec.mbox_factories.push_back([allocate] {
+      return allocate ? std::unique_ptr<mbox::Middlebox>(new AllocatingMonitor)
+                      : std::unique_ptr<mbox::Middlebox>(new mbox::Monitor(1));
+    });
   }
   ftc::ChainRuntime chain(spec);
   HotProfiler* prof = chain.profiler();
-  ASSERT_NE(prof, nullptr);
-  ASSERT_EQ(hot_profiler(), prof);
+  EXPECT_EQ(hot_profiler(), prof);
+  if (prof == nullptr) return {};
 
   chain.start();
   tgen::Workload w;
@@ -340,9 +367,12 @@ void run_budget_chain(std::size_t burst) {
       });
   prof->disarm_quiet();
   chain.stop();
-  ASSERT_GT(result.received, 0u);
+  EXPECT_GT(result.received, 0u);
+  return {prof->report(), prof->quiet_ok()};
+}
 
-  const BudgetReport report = prof->report();
+void run_budget_chain(std::size_t burst) {
+  const auto [report, quiet_ok] = run_quiet_chain(burst, /*allocate=*/false);
   EXPECT_GT(report.total.packets, 0u);
   EXPECT_GT(report.total.wall_cycles, 0u);
 
@@ -368,15 +398,50 @@ void run_budget_chain(std::size_t burst) {
   EXPECT_TRUE(saw_node_worker);
 
   // A paced steady-state run is quiet: no allocation failures, contended
-  // locks, free retries, or send retries after warmup.
-  EXPECT_TRUE(prof->quiet_ok())
-      << "violations=" << prof->quiet_violation_count()
-      << " burst=" << burst;
+  // locks, free retries, send retries, or heap allocations after warmup.
+  EXPECT_TRUE(quiet_ok) << "violations=" << report.quiet_violations
+                        << " burst=" << burst;
+  EXPECT_EQ(report.total.counters[static_cast<std::size_t>(
+                ProfCounter::kHeapAlloc)],
+            0u);
 }
 
 TEST(ProfChain, ReconciliationAndQuietAtBurst32) { run_budget_chain(32); }
 
 TEST(ProfChain, ReconciliationAndQuietAtBurst1) { run_budget_chain(1); }
+
+// The replaced operator new counts every allocation of the calling thread.
+TEST(ProfQuiet, HeapAllocationsAreCountedPerThread) {
+  const std::uint64_t before = thread_heap_allocs();
+  void* volatile p = ::operator new(32);
+  ::operator delete(p);
+  auto v = std::make_unique<std::vector<int>>(100);
+  EXPECT_EQ(thread_heap_allocs() - before, 3u);
+  std::uint64_t other = 0;
+  std::thread([&other] {
+    const std::uint64_t mine = thread_heap_allocs();
+    void* volatile q = ::operator new(8);
+    ::operator delete(q);
+    other = thread_heap_allocs() - mine;
+  }).join();
+  EXPECT_EQ(other, 1u);
+}
+
+// An allocation injected into every packet's transaction makes every
+// data-worker burst a quiet-mode violation.
+TEST(ProfChain, InjectedBurstAllocationViolatesQuiet) {
+  const auto [report, quiet_ok] = run_quiet_chain(32, /*allocate=*/true);
+  EXPECT_FALSE(quiet_ok);
+  EXPECT_GT(report.total.counters[static_cast<std::size_t>(
+                ProfCounter::kHeapAlloc)],
+            0u);
+  bool named = false;
+  for (const auto& v : report.violations) {
+    named = named || (v.kind == ProfCounter::kHeapAlloc &&
+                      v.worker.rfind("ftc-node-", 0) == 0);
+  }
+  EXPECT_TRUE(named);
+}
 
 TEST(ProfChain, BudgetExportedThroughRegistry) {
   ftc::ChainRuntime::Spec spec;

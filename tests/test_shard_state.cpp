@@ -24,7 +24,9 @@ namespace {
 ChainConfig test_cfg() {
   ChainConfig cfg;
   cfg.num_partitions = 16;
-  cfg.history_capacity = 4096;
+  // No commit prunes these appliers' histories: they must hold every log
+  // a test offers, or applies wait for room that never comes.
+  cfg.history_capacity = 65536;
   return cfg;
 }
 
@@ -139,7 +141,8 @@ std::size_t drain_owner(StateHandoffMesh& mesh, std::size_t owner,
 }
 
 TEST(ShardApplier, CrossPartitionBurstsAcrossThreads) {
-  const auto cfg = test_cfg();
+  auto cfg = test_cfg();
+  cfg.threads_per_node = 2;  // Two threads offer: the history is shared.
   InOrderApplier a(0, cfg);
   state::ShardMap map(16, 2);
   StateHandoffMesh mesh(/*producers=*/3, /*owners=*/2, /*capacity=*/512);

@@ -62,6 +62,9 @@ DEFAULT_ROOTS = [
     "InOrderApplier::offer_shard_wire",  # shard-mode wire apply
     "InOrderApplier::apply_handoff",     # owner-side handoff resolve
     "StateStore::apply_wire_owner",      # lock-free owner apply
+    "LogHistory::reserve",        # history room claim before a head txn
+    "LogHistory::record",         # history append (head and replicas)
+    "LogHistory::prune",          # history prune by commit vectors (kTailCommit)
 ]
 
 RULES = {
