@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <type_traits>
 
 #include "core/chain.hpp"
 #include "mbox/monitor.hpp"
@@ -13,13 +14,30 @@
 namespace sfc::ftc {
 namespace {
 
+// gtest_discover_tests names each case after the raw bytes of its
+// parameter, so the struct carries its padding as explicit zeroed
+// members: implicit padding holds stack garbage and makes the ctest
+// name of a case differ from one build or run to the next.
 struct SweepParam {
+  SweepParam(ChainMode m, std::size_t len, std::uint32_t fault_tolerance,
+             std::size_t thread_count, std::size_t burst_size = 32)
+      : mode(m),
+        length(len),
+        f(fault_tolerance),
+        threads(thread_count),
+        burst(burst_size) {}
+
   ChainMode mode;
+  std::uint8_t mode_pad[7]{};
   std::size_t length;
   std::uint32_t f;
+  std::uint32_t f_pad{};
   std::size_t threads;
-  std::size_t burst{32};  ///< Data-path burst size (1 = per-packet).
+  std::size_t burst;  ///< Data-path burst size (1 = per-packet).
 };
+static_assert(sizeof(SweepParam) == 40);
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no implicit padding");
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string mode;

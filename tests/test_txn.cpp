@@ -5,6 +5,7 @@
 #include <atomic>
 #include <barrier>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "state/txn.hpp"
@@ -350,10 +351,14 @@ TEST(Txn, SerializabilityOfReadModifyWritePairs) {
 
 // Parameterized sweep: the exact-counter invariant must hold across
 // partition counts and thread counts.
+// No implicit padding: the ctest name of each case includes the raw
+// bytes of its parameter (see test_chain_sweep.cpp).
 struct TxnSweepParam {
   std::size_t partitions;
   int threads;
+  int threads_pad{};
 };
+static_assert(std::has_unique_object_representations_v<TxnSweepParam>);
 
 class TxnSweep : public ::testing::TestWithParam<TxnSweepParam> {};
 
